@@ -1,10 +1,11 @@
 """Cluster replay engine: rack domains under the domain coordinator.
 
 Glue between :mod:`repro.cluster.topology` (what one rack does) and
-:mod:`repro.sim.domains` (how racks advance together): build one
-domain per rack, hand the coordinator the trace horizon and the
-inter-rack latency as the conservative lookahead, then assemble the
-per-rack artifacts into one deterministic cluster artifact.
+:mod:`repro.sim.domains` (how racks advance together): synthesize the
+trace once, build one domain per rack from its slice, hand the
+coordinator the trace horizon and the inter-rack latency as the
+conservative lookahead, then assemble the per-rack artifacts into one
+deterministic cluster artifact.
 
 The artifact contract is the headline of this subsystem: everything in
 :func:`run_cluster`'s first return value derives from ``(config,
@@ -44,11 +45,15 @@ def run_cluster(
     speedup inputs). When ``registry`` is given, every rack's metric
     snapshot is merged into it with a ``domain="rackN"`` label.
     """
+    events, horizon = cluster_trace_events(config)
+    slices = [[] for _ in range(config.racks)]
+    for event in events:
+        slices[event.task.task_id % config.racks].append(event)
     builders = [
-        (BUILDER_TARGET, {"rack_index": rack, "config": config})
+        (BUILDER_TARGET, {"rack_index": rack, "config": config,
+                          "events": slices[rack], "horizon": horizon})
         for rack in range(config.racks)
     ]
-    _, horizon = cluster_trace_events(config)
     coordinator = DomainCoordinator(
         builders,
         lookahead=config.inter_rack_latency,

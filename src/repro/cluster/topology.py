@@ -13,9 +13,9 @@ plane. A cluster is ``racks`` independent rack domains, each owning:
   cluster's ``machines``), each with full CPU but only
   ``local_memory_fraction`` of its memory local — the disaggregation
   premise: big-memory tasks overflow into the pool;
-* its slice of the shared synthetic Google-trace (task ``i`` is homed
-  on rack ``i % racks``), replayed as *live* open-loop attach/detach/
-  steal traffic.
+* its slice of the cluster's synthetic Google-trace (task ``i`` is
+  homed on rack ``i % racks``), replayed as *live* open-loop attach/
+  detach/steal traffic.
 
 A task whose memory exceeds the local fraction leases the overflow
 from a rack lender through the full §IV-C attach workflow (path
@@ -155,10 +155,11 @@ def machines_in_rack(config: ClusterConfig, rack_index: int) -> int:
 def cluster_trace_events(
     config: ClusterConfig,
 ) -> Tuple[List[TraceEvent], float]:
-    """The cluster's shared trace and its horizon (last event time).
+    """The cluster's trace and its horizon (last event time).
 
-    Every domain synthesizes the identical full trace from the seed
-    and keeps its own slice — deterministic fan-out with zero IPC.
+    :func:`~repro.cluster.replay.run_cluster` synthesizes it once per
+    run and ships each rack domain only its own slice (task ``i`` goes
+    to rack ``i % racks``, in trace order).
     """
     trace_config = scaled_trace_config(
         config.machines, tasks=config.tasks, seed=config.seed
@@ -208,14 +209,18 @@ class RackDomain:
     """One rack's live replay: a domain program for the coordinator.
 
     Implements the :mod:`repro.sim.domains` program contract
-    (``advance``/``finalize``). Message kinds on the inter-rack ring:
+    (``advance``/``finalize``). ``events`` is this rack's slice of the
+    cluster trace and ``horizon`` the whole trace's last event time
+    (see :func:`cluster_trace_events`). Message kinds on the inter-rack
+    ring:
 
     * ``borrow`` — ask the ring neighbor to reserve pool bytes;
     * ``grant`` / ``deny`` — the neighbor's verdict;
     * ``release`` — return a granted reservation.
     """
 
-    def __init__(self, rack_index: int, config: ClusterConfig):
+    def __init__(self, rack_index: int, config: ClusterConfig,
+                 events: List[TraceEvent], horizon: float):
         # Global datapath counters must not depend on how many domains
         # this process built before us (serial builds all N in one
         # process; a pool worker builds its shard) — reset for
@@ -223,7 +228,7 @@ class RackDomain:
         reset_txn_ids()
         self.rack = rack_index
         self.config = config
-        events, self.horizon = cluster_trace_events(config)
+        self.horizon = horizon
         self._log = EventLog(capacity=config.journal_capacity)
         spec = NodeSpec(dram_bytes=config.node_dram_bytes)
         self.testbed = PacketRackTestbed(
@@ -265,8 +270,6 @@ class RackDomain:
         self.remote_wait_max = 0.0
 
         for event in events:
-            if event.task.task_id % config.racks != rack_index:
-                continue
             if event.kind is EventKind.SUBMIT:
                 self.sim.schedule_at(event.time, self._on_submit, event.task)
             else:
@@ -514,6 +517,7 @@ class RackDomain:
         }
 
 
-def build_rack_domain(rack_index: int, config: ClusterConfig) -> RackDomain:
+def build_rack_domain(rack_index: int, config: ClusterConfig,
+                      events: List[TraceEvent], horizon: float) -> RackDomain:
     """Domain-builder target for the coordinator (picklable by name)."""
-    return RackDomain(rack_index, config)
+    return RackDomain(rack_index, config, events, horizon)

@@ -43,10 +43,17 @@ class StateGraph:
     ports). Transceiver and switch-port nodes carry a ``capacity``
     attribute — how many concurrent flows they can carry — and a
     ``reserved`` counter maintained by the planner.
+
+    ``topology_version`` counts wiring changes (hosts, switches,
+    cables); reservations leave it alone. Anything derived from the
+    wiring alone may be cached against it.
     """
 
     def __init__(self):
         self._graph = nx.Graph()
+        self.topology_version = 0
+        self._hosts: Tuple[str, ...] = ()
+        self._hosts_version = -1
 
     # -- node registration -----------------------------------------------------------
     def add_host(
@@ -82,6 +89,7 @@ class StateGraph:
             # transceiver.
             self._graph.add_edge(cep, xcvr, internal=True)
             self._graph.add_edge(mep, xcvr, internal=True)
+        self.topology_version += 1
 
     def add_switch(self, switch: str, ports: int, port_capacity: int = 64) -> None:
         for index in range(ports):
@@ -102,6 +110,7 @@ class StateGraph:
                     self.switch_port(switch, b),
                     internal=True,
                 )
+        self.topology_version += 1
 
     def add_cable(self, end_a: str, end_b: str) -> None:
         """A physical link between two transceivers / switch ports."""
@@ -112,6 +121,7 @@ class StateGraph:
             if kind not in (NodeKind.TRANSCEIVER, NodeKind.SWITCH_PORT):
                 raise GraphError(f"cannot cable a {kind.value} node")
         self._graph.add_edge(end_a, end_b, internal=False)
+        self.topology_version += 1
 
     # -- naming helpers ----------------------------------------------------------------
     @staticmethod
@@ -133,16 +143,22 @@ class StateGraph:
     # -- queries --------------------------------------------------------------------------
     @property
     def graph(self) -> nx.Graph:
+        """The underlying graph, for reading: wiring changes go through
+        ``add_host``/``add_switch``/``add_cable`` so that
+        ``topology_version`` moves with them."""
         return self._graph
 
     def hosts(self) -> List[str]:
-        return sorted(
-            {
-                data["host"]
-                for _node, data in self._graph.nodes(data=True)
-                if data["kind"] is NodeKind.COMPUTE_ENDPOINT
-            }
-        )
+        if self._hosts_version != self.topology_version:
+            self._hosts = tuple(sorted(
+                {
+                    data["host"]
+                    for _node, data in self._graph.nodes(data=True)
+                    if data["kind"] is NodeKind.COMPUTE_ENDPOINT
+                }
+            ))
+            self._hosts_version = self.topology_version
+        return list(self._hosts)
 
     def node_attr(self, node: str, key: str):
         try:

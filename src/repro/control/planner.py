@@ -15,13 +15,51 @@ channels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from operator import itemgetter
+from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
 
 from .graph import GraphError, NodeKind, StateGraph
 
 __all__ = ["PathPlanner", "PlannedPath", "NoPathError"]
+
+_ENDPOINT_KINDS = (NodeKind.COMPUTE_ENDPOINT, NodeKind.MEMORY_ENDPOINT)
+
+#: Longest path considered, in edges.
+_MAX_HOPS = 6
+
+
+def _endpoint_free_paths(
+    graph: nx.Graph, source: str, target: str
+) -> Tuple[Tuple[str, ...], ...]:
+    """Simple source→target paths of at most ``_MAX_HOPS`` edges that
+    do not tunnel through any other endpoint.
+
+    The same depth-first walk as ``nx.all_simple_paths`` (neighbors in
+    adjacency order), so the paths come out in the order it yields
+    them; a branch is cut where it enters another endpoint rather than
+    enumerated and filtered afterwards.
+    """
+    nodes, adjacency = graph.nodes, graph.adj
+    paths = []
+    path = [source]
+
+    def extend(node: str) -> None:
+        for neighbor in adjacency[node]:
+            if neighbor == target:
+                paths.append((*path, target))
+            elif (
+                len(path) < _MAX_HOPS
+                and neighbor not in path
+                and nodes[neighbor]["kind"] not in _ENDPOINT_KINDS
+            ):
+                path.append(neighbor)
+                extend(neighbor)
+                path.pop()
+
+    extend(source)
+    return tuple(paths)
 
 
 class NoPathError(GraphError):
@@ -59,12 +97,21 @@ class PathPlanner:
 
     def __init__(self, state: StateGraph):
         self.state = state
+        #: (cep, mep) -> endpoint-free simple paths in DFS order, valid
+        #: for ``_wired_version`` of the state graph's wiring.
+        self._wired: Dict[Tuple[str, str], Tuple[Tuple[str, ...], ...]] = {}
+        self._wired_version = -1
 
     # -- path discovery ---------------------------------------------------------------
-    def candidate_paths(
+    def _wired_paths(
         self, compute_host: str, memory_host: str
-    ) -> List[List[str]]:
-        """All simple cep→mep paths with free capacity, best first."""
+    ) -> Tuple[Tuple[str, ...], ...]:
+        """Every simple cep→mep path the wiring allows, capacity aside.
+
+        The wiring only changes when the state graph's
+        ``topology_version`` moves, so the enumeration is cached per
+        endpoint pair and dropped on the next version.
+        """
         graph = self.state.graph
         source = self.state.cep(compute_host)
         target = self.state.mep(memory_host)
@@ -72,28 +119,33 @@ class PathPlanner:
             raise NoPathError(
                 f"unknown endpoint(s): {compute_host!r} / {memory_host!r}"
             )
-        usable = []
-        try:
-            paths = nx.all_simple_paths(graph, source, target, cutoff=6)
-        except nx.NetworkXError as exc:  # pragma: no cover - defensive
-            raise NoPathError(str(exc)) from exc
-        for path in paths:
-            middle = path[1:-1]
-            if any(
-                graph.nodes[node]["kind"]
-                in (NodeKind.COMPUTE_ENDPOINT, NodeKind.MEMORY_ENDPOINT)
-                for node in middle
-            ):
-                continue  # paths must not tunnel through other endpoints
-            if all(self.state.free_capacity(node) > 0 for node in middle):
-                usable.append(path)
-        usable.sort(
-            key=lambda p: (
-                len(p),
-                -min(self.state.free_capacity(n) for n in p[1:-1]),
+        if self._wired_version != self.state.topology_version:
+            self._wired.clear()
+            self._wired_version = self.state.topology_version
+        key = (source, target)
+        paths = self._wired.get(key)
+        if paths is None:
+            paths = self._wired[key] = _endpoint_free_paths(
+                graph, source, target
             )
-        )
-        return usable
+        return paths
+
+    def _spare(self, path: Tuple[str, ...]) -> int:
+        """Free capacity of the path's most loaded node (0 = unusable)."""
+        return min(map(self.state.free_capacity, path[1:-1]))
+
+    def candidate_paths(
+        self, compute_host: str, memory_host: str
+    ) -> List[Tuple[str, ...]]:
+        """All simple cep→mep paths with free capacity, best first."""
+        ranked = []
+        for path in self._wired_paths(compute_host, memory_host):
+            spare = self._spare(path)
+            if spare > 0:
+                ranked.append((len(path), -spare, path))
+        # Stable on the rank alone: ties keep depth-first order.
+        ranked.sort(key=itemgetter(0, 1))
+        return [path for _hops, _spare, path in ranked]
 
     # -- reservation -------------------------------------------------------------------
     def plan(
@@ -111,7 +163,7 @@ class PathPlanner:
             raise GraphError(f"channels must be >= 1: {channels}")
         if compute_host == memory_host:
             raise GraphError("compute and memory host must differ")
-        chosen: List[List[str]] = []
+        chosen: List[Tuple[str, ...]] = []
         used_transceivers: set = set()
         for path in self.candidate_paths(compute_host, memory_host):
             middle = set(path[1:-1])
@@ -142,7 +194,7 @@ class PathPlanner:
             channel_indices=tuple(channel_indices),
             reserved_nodes=tuple(reserved),
             hop_count=max(len(path) - 2 for path in chosen),
-            node_paths=tuple(tuple(path) for path in chosen),
+            node_paths=tuple(chosen),
         )
 
     def release(self, planned: PlannedPath) -> None:
@@ -178,8 +230,11 @@ class PathPlanner:
             free = self.state.donor_free(host)
             if free < size:
                 continue
-            if not self.candidate_paths(compute_host, host):
-                continue
+            if not any(
+                self._spare(path) > 0
+                for path in self._wired_paths(compute_host, host)
+            ):
+                continue  # unreachable: no path with free capacity
             if best is None or free > best[0]:
                 best = (free, host)
         if best is None:

@@ -23,6 +23,7 @@ from repro.cluster import (
     run_cluster,
     write_artifacts,
 )
+from repro.cluster import topology
 from repro.mem import MIB
 from repro.obs import MetricsRegistry, validate_event_jsonl
 
@@ -96,7 +97,8 @@ class TestRackDomain:
                                **{k: v for k, v in BUSY.items()
                                   if k not in ("racks", "machines",
                                                "tasks", "seed")})
-        domain = build_rack_domain(0, config)
+        events, horizon = cluster_trace_events(config)
+        domain = build_rack_domain(0, config, events, horizon)
         outbox = domain.advance(domain.horizon + 100.0, [])
         assert outbox == []  # nowhere to borrow from
         artifact = domain.finalize()
@@ -213,3 +215,20 @@ class TestTraceHorizon:
         assert 0 < len(sampled) < len(full)
         full_ids = {event.task.task_id for event in full}
         assert {event.task.task_id for event in sampled} <= full_ids
+
+    def test_run_cluster_synthesizes_the_trace_once(self, monkeypatch):
+        calls = []
+        real = topology.synthesize_trace
+
+        def counting(trace_config):
+            calls.append(trace_config)
+            return real(trace_config)
+
+        monkeypatch.setattr(topology, "synthesize_trace", counting)
+        config = ClusterConfig(racks=3, machines=12, tasks=90, seed=5)
+        first, _ = run_cluster(config, jobs=1)
+        assert len(calls) == 1
+        calls.clear()
+        second, _ = run_cluster(config, jobs=1)
+        assert len(calls) == 1  # no memo carried across runs
+        assert canonical(first) == canonical(second)

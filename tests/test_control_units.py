@@ -1,7 +1,10 @@
 """Unit tests for the control-plane pieces in isolation: state graph,
 path planner, and the agent's attach/detach mechanics."""
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.control import (
     GraphError,
@@ -24,6 +27,58 @@ def two_host_graph(transceivers=2, donor=1 << 30):
     for channel in range(transceivers):
         state.add_cable(state.xcvr("a", channel), state.xcvr("b", channel))
     return state
+
+
+def packet_rack_graph(capacity=2):
+    """4 hosts x 2 transceivers on an 8-port switch, plus one direct cable.
+
+    Small capacities make reservations exhaust ports and transceivers,
+    so the free-capacity filter and the load-spreading sort both bite.
+    """
+    state = StateGraph()
+    hosts = [f"node{i}" for i in range(4)]
+    for host in hosts:
+        state.add_host(host, transceivers=2, channel_capacity=capacity,
+                       donor_capacity_bytes=1 << 30)
+    state.add_switch("sw", ports=8, port_capacity=capacity)
+    for index, host in enumerate(hosts):
+        for channel in range(2):
+            state.add_cable(state.xcvr(host, channel),
+                            state.switch_port("sw", index * 2 + channel))
+    state.add_cable(state.xcvr("node0", 0), state.xcvr("node1", 0))
+    return state, hosts
+
+
+def reference_candidate_paths(state, compute_host, memory_host):
+    """The uncached enumeration: every call walks the whole graph."""
+    graph = state.graph
+    endpoints = (NodeKind.COMPUTE_ENDPOINT, NodeKind.MEMORY_ENDPOINT)
+    usable = []
+    for path in nx.all_simple_paths(graph, state.cep(compute_host),
+                                    state.mep(memory_host), cutoff=6):
+        middle = path[1:-1]
+        if any(graph.nodes[node]["kind"] in endpoints for node in middle):
+            continue
+        if all(state.free_capacity(node) > 0 for node in middle):
+            usable.append(path)
+    usable.sort(key=lambda p: (
+        len(p), -min(state.free_capacity(n) for n in p[1:-1])
+    ))
+    return [tuple(path) for path in usable]
+
+
+def reference_node_paths(candidates, channels):
+    """Disjoint best-first pick over ``candidates``; None if too few."""
+    chosen, used = [], set()
+    for path in candidates:
+        middle = set(path[1:-1])
+        if middle & used:
+            continue
+        chosen.append(path)
+        used |= middle
+        if len(chosen) == channels:
+            return tuple(chosen)
+    return None
 
 
 class TestStateGraph:
@@ -74,6 +129,23 @@ class TestStateGraph:
     def test_hosts_listing(self):
         state = two_host_graph()
         assert state.hosts() == ["a", "b"]
+
+    def test_hosts_listing_follows_wiring(self):
+        state = two_host_graph()
+        listed = state.hosts()
+        listed.append("ghost")
+        state.add_host("0", transceivers=1)
+        assert state.hosts() == ["0", "a", "b"]
+
+    def test_only_wiring_moves_topology_version(self):
+        state = two_host_graph()
+        version = state.topology_version
+        state.reserve([state.xcvr("a", 0)])
+        state.reserve_donor_memory("b", 10)
+        assert state.topology_version == version
+        state.add_switch("sw", ports=2)
+        state.add_cable(state.xcvr("a", 1), state.switch_port("sw", 0))
+        assert state.topology_version == version + 2
 
 
 class TestPathPlanner:
@@ -159,6 +231,85 @@ class TestPathPlanner:
         assert planner.pick_donor("a", 50, exclude=("c",)) == "b"
         with pytest.raises(NoPathError):
             planner.pick_donor("a", 10_000)
+
+    def test_pick_donor_skips_donor_without_free_path(self):
+        state = StateGraph()
+        state.add_host("a", transceivers=2, channel_capacity=1)
+        state.add_host("b", transceivers=1, donor_capacity_bytes=100)
+        state.add_host("c", transceivers=1, donor_capacity_bytes=500)
+        state.add_cable(state.xcvr("a", 0), state.xcvr("b", 0))
+        state.add_cable(state.xcvr("a", 1), state.xcvr("c", 0))
+        planner = PathPlanner(state)
+        held = planner.plan("a", "c")
+        assert planner.pick_donor("a", 50) == "b"
+        planner.release(held)
+        assert planner.pick_donor("a", 50) == "c"
+
+    def test_candidate_paths_are_fresh_lists_of_tuples(self):
+        state, _hosts = packet_rack_graph()
+        planner = PathPlanner(state)
+        first = planner.candidate_paths("node0", "node1")
+        assert all(isinstance(path, tuple) for path in first)
+        expected = list(first)
+        first.clear()
+        assert planner.candidate_paths("node0", "node1") == expected
+
+    def test_new_cable_invalidates_cached_paths(self):
+        state = StateGraph()
+        for host in ("a", "b"):
+            state.add_host(host, transceivers=3,
+                           donor_capacity_bytes=1 << 30)
+        state.add_switch("sw", ports=4)
+        for index, host in enumerate(("a", "b")):
+            for channel in range(2):
+                state.add_cable(state.xcvr(host, channel),
+                                state.switch_port("sw", index * 2 + channel))
+        planner = PathPlanner(state)
+        before = planner.candidate_paths("a", "b")
+        assert min(len(path) for path in before) == 6  # via the switch
+        state.add_cable(state.xcvr("a", 2), state.xcvr("b", 2))
+        after = planner.candidate_paths("a", "b")
+        assert after[0] == ("a/cep", "a/x2", "b/x2", "b/mep")
+        assert after[1:] == before
+        assert planner.plan("a", "b").hop_count == 2
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.sampled_from(["plan", "release", "candidates"]),
+            st.integers(0, 3),
+            st.integers(0, 3),
+            st.integers(1, 2),
+        ),
+        max_size=14,
+    ))
+    def test_cache_matches_uncached_enumeration(self, steps):
+        state, hosts = packet_rack_graph()
+        planner = PathPlanner(state)
+        held = []
+        for op, a, b, channels in steps:
+            compute, memory = hosts[a], hosts[(a + 1 + b % 3) % 4]
+            expected = reference_candidate_paths(state, compute, memory)
+            if op == "release":
+                if held:
+                    planner.release(held.pop(b % len(held)))
+            elif op == "candidates":
+                assert planner.candidate_paths(compute, memory) == expected
+            else:
+                node_paths = reference_node_paths(expected, channels)
+                if node_paths is None:
+                    with pytest.raises(NoPathError):
+                        planner.plan(compute, memory, channels=channels)
+                    continue
+                planned = planner.plan(compute, memory, channels=channels)
+                assert planned.node_paths == node_paths
+                assert planned.reserved_nodes == tuple(
+                    node for path in node_paths for node in path[1:-1]
+                )
+                assert planned.hop_count == max(
+                    len(path) - 2 for path in node_paths
+                )
+                held.append(planned)
 
 
 class TestAgentMechanics:
