@@ -24,7 +24,7 @@ from ..obs import events as _events
 from ..obs import trace as _trace
 from ..opencapi.ports import OpenCapiC1Port
 from ..opencapi.transactions import MemTransaction, ResponseCode, TLCommand
-from ..sim.engine import Process, Signal, Simulator
+from ..sim.engine import Signal, Simulator
 from ..sim.stats import LatencyRecorder
 from .hbm import HbmCache
 from .rmmu import Rmmu, RmmuFault
@@ -144,10 +144,7 @@ class ComputeEndpoint:
         return len(self._outstanding)
 
     # -- BusTarget protocol ----------------------------------------------------------
-    def handle(self, txn: MemTransaction) -> Process:
-        return self.sim.process(self._handle(txn), name=f"{self.name}.txn")
-
-    def _handle(self, txn: MemTransaction) -> Generator:
+    def serve(self, txn: MemTransaction) -> Generator:
         if self.window is None:
             raise EndpointError(f"{self.name}: no window assigned")
         started = self.sim.now
@@ -284,7 +281,9 @@ class ComputeEndpoint:
             self.sim.schedule(
                 self.transaction_timeout_s, self._expire, outbound.txn_id
             )
-        yield self.routing.forward(outbound)
+        stalled = self.routing.forward(outbound)
+        if stalled is not None:
+            yield stalled
         response = yield done
         return response
 
@@ -431,11 +430,13 @@ class MemoryStealingEndpoint:
 
     def _serve(self, txn: MemTransaction) -> Generator:
         txn.pasid = self.pasid
-        response = yield self.c1.master(txn)
+        response = yield from self.c1.master(txn)
         if response.response_code is ResponseCode.ACCESS_DENIED:
             self.denied += txn.burst
         else:
             self.served += txn.burst
         response.arrival_channel = txn.arrival_channel
         response.network_id = txn.network_id
-        yield self.routing.forward_response(response)
+        # Nothing waits on a served request: a credit-stalled response
+        # finishes in the process the LLC spawned for it.
+        self.routing.forward_response(response)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional
+from typing import Dict, Generator, List, Optional, Tuple
 
 from ..net.crc import crc32, frame_digest_bytes
 from ..net.link import ChannelEndpointView
@@ -37,7 +37,7 @@ from ..opencapi.transactions import (
     split_burst,
     transaction_flits,
 )
-from ..sim.engine import Simulator
+from ..sim.engine import Process, Simulator
 from ..sim.resources import CreditPool, Store
 
 __all__ = ["LlcConfig", "Frame", "LlcEndpoint", "LlcError"]
@@ -139,10 +139,13 @@ class LlcEndpoint:
 
     Datapath interface:
 
-    * :meth:`submit` — waitable enqueue of a transaction for the peer
-      (consumes a credit; stalls under backpressure).
-    * :meth:`receive` — waitable dequeue of the next transaction from
+    * :meth:`submit` — enqueue of a transaction for the peer (consumes
+      a credit; stalls under backpressure).
+    * :meth:`receive` — delegated dequeue of the next transaction from
       the ingress queue (frees a slot, i.e. grants a credit back).
+
+    Frames arriving on the channel's rx link are handed straight to
+    this endpoint, which processes each one a pipeline latency later.
     """
 
     def __init__(
@@ -194,39 +197,42 @@ class LlcEndpoint:
         self.timeout_recoveries = 0
 
         sim.process(self._tx_pump(), name=f"{name}.tx")
-        sim.process(self._rx_pump(), name=f"{name}.rx")
+        channel.rx_link.sink = self._on_frame
 
     # ------------------------------------------------------------------ datapath
-    def submit(self, txn: MemTransaction):
-        """Waitable submit; fires once the transaction is queued for Tx."""
-        return self.sim.process(self._submit(txn), name=f"{self.name}.submit")
+    def submit(self, txn: MemTransaction) -> Optional[Process]:
+        """Queue ``txn`` for Tx, consuming one credit per cacheline.
 
-    def _submit(self, txn: MemTransaction) -> Generator:
+        With credits free the transaction is queued at once and this
+        returns None. Under backpressure it returns the process that
+        queues the transaction once the peer has granted the credits;
+        a caller that must not run ahead of the enqueue yields it.
+        """
         if _trace.ENABLED:
             _trace.txn_mark(
                 self.sim.now, txn.base_txn_id, "llc.credit_wait", self.name
             )
+        if self._credits.try_consume(txn.burst):
+            self._enqueue(txn)
+            return None
+        return self.sim.process(
+            self._submit_stalled(txn), name=f"{self.name}.submit"
+        )
+
+    def _submit_stalled(self, txn: MemTransaction) -> Generator:
         yield self._credits.consume(txn.burst)
+        self._enqueue(txn)
+
+    def _enqueue(self, txn: MemTransaction) -> None:
         if _trace.ENABLED:
             _trace.txn_mark(
                 self.sim.now, txn.base_txn_id, "llc.submit", self.name
             )
-        yield self._tx_queue.put(txn)
+        self._tx_queue.try_put(txn)
 
-    def try_submit(self, txn: MemTransaction) -> bool:
-        """Non-blocking submit; False when out of credits."""
-        if not self._credits.try_consume(txn.burst):
-            return False
-        if not self._tx_queue.try_put(txn):
-            self._credits.grant(txn.burst)
-            return False
-        return True
-
-    def receive(self):
-        """Waitable receive of the next ingress transaction."""
-        return self.sim.process(self._receive(), name=f"{self.name}.recv")
-
-    def _receive(self) -> Generator:
+    def receive(self) -> Generator:
+        """Dequeue the next ingress transaction; delegate with
+        ``txn = yield from llc.receive()``."""
         txn = yield self._ingress.get()
         # A burst segment occupied one ingress slot per cacheline worth
         # of credit the peer consumed; free them all.
@@ -418,8 +424,7 @@ class LlcEndpoint:
         )
 
     def _launch(self, frame: Frame) -> None:
-        if not self.channel.tx_link.try_send(frame, frame.wire_bytes):
-            raise LlcError(f"{self.name}: tx link queue rejected frame")
+        self.channel.tx_link.send(frame, frame.wire_bytes)
 
     def _retransmit_from(self, from_id: int) -> None:
         """Serve a replay request: resend retained frames in order."""
@@ -479,15 +484,11 @@ class LlcEndpoint:
             self.sim.schedule(remaining, self._retention_timer_fired)
 
     # ------------------------------------------------------------------ rx side
-    def _rx_pump(self) -> Generator:
-        while True:
-            frame, corrupted = yield self.channel.rx.get()
-            self.sim.schedule(
-                self.config.pipeline_latency_s,
-                self._process_frame,
-                frame,
-                corrupted,
-            )
+    def _on_frame(self, delivery: Tuple[Frame, bool]) -> None:
+        """Rx link sink: ``(frame, corrupted)`` crosses the pipeline."""
+        self.sim.schedule(
+            self.config.pipeline_latency_s, self._process_frame, *delivery
+        )
 
     def _process_frame(self, frame: Frame, corrupted: bool) -> None:
         if corrupted or not frame.crc_ok():

@@ -21,7 +21,7 @@ from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..obs import trace as _trace
 from ..opencapi.transactions import MemTransaction, split_burst
-from ..sim.engine import Simulator
+from ..sim.engine import Process, Simulator
 from .flow import base_network_id, is_bonded_wire_id
 from .llc import LlcEndpoint
 
@@ -135,8 +135,12 @@ class RoutingLayer:
         current[best] -= total
         return channels[best]
 
-    def forward(self, txn: MemTransaction):
-        """Waitable forward of a request toward its remote endpoint."""
+    def forward(self, txn: MemTransaction) -> Optional[Process]:
+        """Forward a request toward its remote endpoint.
+
+        Returns None once the request is queued at its LLC(s), or a
+        process that finishes when the last credit-stalled piece is.
+        """
         if txn.network_id is None:
             raise RoutingError(f"{self.name}: transaction has no network id")
         if _trace.ENABLED:
@@ -152,26 +156,22 @@ class RoutingLayer:
             # Bonded flows spray per cacheline; split the burst so the
             # round-robin channel sequence matches the per-line
             # formulation exactly.
-            return self.sim.process(
-                self._forward_burst_bonded(txn), name=f"{self.name}.fwd"
-            )
+            stalled = []
+            for line in range(txn.burst):
+                piece = split_burst(txn, line, 1)
+                index = self.select_channel(txn.network_id)
+                self.forwarded += 1
+                self.per_channel_tx[index] += 1
+                waiting = self.channel(index).submit(piece)
+                if waiting is not None:
+                    stalled.append(waiting)
+            return self.sim.all_of(stalled) if stalled else None
         index = self.select_channel(txn.network_id)
         self.forwarded += txn.burst
         self.per_channel_tx[index] += txn.burst
         return self.channel(index).submit(txn)
 
-    def _forward_burst_bonded(self, txn: MemTransaction) -> Generator:
-        pending = []
-        for line in range(txn.burst):
-            piece = split_burst(txn, line, 1)
-            index = self.select_channel(txn.network_id)
-            self.forwarded += 1
-            self.per_channel_tx[index] += 1
-            pending.append(self.channel(index).submit(piece))
-        for waitable in pending:
-            yield waitable
-
-    def forward_response(self, response: MemTransaction):
+    def forward_response(self, response: MemTransaction) -> Optional[Process]:
         """Responses return "using the channel they arrived from"."""
         if response.arrival_channel is None:
             raise RoutingError(
@@ -208,7 +208,7 @@ class RoutingLayer:
     # -- ingress --------------------------------------------------------------------
     def _drain(self, llc: LlcEndpoint, index: int) -> Generator:
         while True:
-            txn = yield llc.receive()
+            txn = yield from llc.receive()
             if self._rx_handler is None:
                 raise RoutingError(
                     f"{self.name}: transaction arrived with no rx handler"

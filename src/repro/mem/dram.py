@@ -63,8 +63,9 @@ class DramTiming:
 class DramDevice:
     """A timed, functional DRAM: data really lands in a backing store.
 
-    ``read``/``write`` return simulation processes; model code typically
-    does ``data = yield dram.read(addr, size)``.
+    ``read``/``write`` and their burst forms are generators that run
+    inside the caller's process: model code does
+    ``data = yield from dram.read(addr, size)``.
     """
 
     def __init__(
@@ -113,19 +114,15 @@ class DramDevice:
         registry.add_collector(collect)
 
     # -- timed access -----------------------------------------------------------
-    def read(self, address: int, size: int = CACHELINE_BYTES):
-        """Timed read process: yields, then returns the bytes."""
-        return self.sim.process(
-            self._access(address, size, None), name=f"{self.name}.read"
-        )
+    def read(self, address: int, size: int = CACHELINE_BYTES) -> Generator:
+        """Timed read; delegate with ``data = yield from dram.read(...)``."""
+        return self._access(address, size, None)
 
-    def write(self, address: int, data: bytes):
-        """Timed write process."""
-        return self.sim.process(
-            self._access(address, len(data), data), name=f"{self.name}.write"
-        )
+    def write(self, address: int, data: bytes) -> Generator:
+        """Timed write; delegate with ``yield from dram.write(...)``."""
+        return self._access(address, len(data), data)
 
-    def read_burst(self, address: int, lines: int):
+    def read_burst(self, address: int, lines: int) -> Generator:
         """Timed batched read of ``lines`` contiguous cachelines.
 
         Holds one bank per line (capped at the device's bank count) for a
@@ -133,12 +130,9 @@ class DramDevice:
         pool and no other traffic contends, this completes at exactly the
         instant ``lines`` concurrent per-line reads would.
         """
-        return self.sim.process(
-            self._access_burst(address, lines, None),
-            name=f"{self.name}.read",
-        )
+        return self._access_burst(address, lines, None)
 
-    def write_burst(self, address: int, data: bytes):
+    def write_burst(self, address: int, data: bytes) -> Generator:
         """Timed batched write of contiguous cachelines."""
         lines, remainder = divmod(len(data), CACHELINE_BYTES)
         if remainder:
@@ -146,10 +140,7 @@ class DramDevice:
                 f"{self.name}: burst writes need whole cachelines, "
                 f"got {len(data)} bytes"
             )
-        return self.sim.process(
-            self._access_burst(address, lines, data),
-            name=f"{self.name}.write",
-        )
+        return self._access_burst(address, lines, data)
 
     def _access(
         self, address: int, size: int, data: Optional[bytes]

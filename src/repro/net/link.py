@@ -3,14 +3,14 @@
 The prototype's network channels each drive "4x bonded GTY transceivers
 at 25Gbit/sec (100Gbit/sec)" using the Xilinx Aurora 64B/66B datalink
 layer (§V). This module models one such channel as a unidirectional
-serializing pipe: frames queue at the transmitter, occupy the wire for
-``size / rate`` seconds, cross two serdes PHYs and the cable, and pop
-out at the receiver in order. Fault injection happens on the wire.
+serializing pipe: frames occupy the wire back to back for
+``size / rate`` seconds each, cross two serdes PHYs and the cable, and
+pop out at the receiver in order. Fault injection happens on the wire.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import Any, Callable, Optional, Tuple
 
 from ..obs import trace as _trace
 from ..sim.engine import Simulator
@@ -38,7 +38,7 @@ class LinkConfig:
     """Static parameters of one unidirectional channel.
 
     The derived rates are precomputed once here: ``serialization_time``
-    sits on the per-frame hot path of every link pump, and walking the
+    sits on the per-frame hot path of every link, and walking the
     ``payload_bits_per_s`` -> ``raw_bits_per_s`` property chain on each
     frame costs two Python calls and three float ops per frame for
     values that never change after construction. The properties remain
@@ -93,11 +93,13 @@ class LinkConfig:
 class SerialLink:
     """One direction of a network channel.
 
-    ``send(payload, size_bytes)`` enqueues; an internal pump process
-    serializes strictly in order (this is what makes LLC frame ids
-    monotonic on the wire). Dropped frames vanish; corrupted frames are
-    delivered with ``corrupted=True`` attached via a wrapper tuple —
-    receivers see ``(payload, corrupted)``.
+    :meth:`send` serializes a frame the moment it is sent: frames occupy
+    the wire back to back in send order (this is what makes LLC frame
+    ids monotonic on the wire), and each one reaches the far end a
+    flight latency after its last bit leaves. Dropped frames vanish.
+    Delivery calls ``sink((payload, corrupted))``; the sink defaults to
+    ``rx.put``, so readers of the ``rx`` store see ``(payload,
+    corrupted)`` tuples, and an LLC installs its own frame handler.
     """
 
     def __init__(
@@ -106,31 +108,27 @@ class SerialLink:
         config: Optional[LinkConfig] = None,
         faults: Optional[FaultInjector] = None,
         name: str = "link",
-        tx_queue_depth: Optional[int] = None,
         rx_store: Optional[Store] = None,
     ):
         self.sim = sim
         self.config = config or LinkConfig()
         self.faults = faults
         self.name = name
-        self._tx_queue: Store = Store(sim, capacity=tx_queue_depth,
-                                      name=f"{name}.txq")
-        #: Delivery target; pass ``rx_store`` to terminate the link on a
-        #: foreign queue (e.g. a circuit switch's port ingress).
+        #: Default delivery target; pass ``rx_store`` to terminate the
+        #: link on a foreign queue (e.g. a circuit switch's port ingress).
         self.rx: Store = rx_store if rx_store is not None else Store(
             sim, name=f"{name}.rx")
+        self.sink: Callable[[Tuple[Any, bool]], Any] = self.rx.put
         self.bytes_sent = 0
         self.bytes_delivered = 0
         self.frames_sent = 0
         self.frames_delivered = 0
         self.queue_delay = RunningStats(f"{name}.queue_delay")
         self._busy_until = 0.0
-        sim.process(self._pump(), name=f"{name}.pump")
 
-    # -- transmit side -----------------------------------------------------------
     def send(self, payload: Any, size_bytes: int,
-             pre_corrupted: bool = False):
-        """Waitable enqueue of one frame (fires when queued).
+             pre_corrupted: bool = False) -> None:
+        """Serialize one frame behind those already on the wire.
 
         ``pre_corrupted`` propagates upstream damage through multi-hop
         paths (a switch re-transmitting a frame it received corrupted).
@@ -139,89 +137,48 @@ class SerialLink:
             raise ValueError(f"frame size must be > 0: {size_bytes}")
         self.frames_sent += 1
         self.bytes_sent += size_bytes
-        return self._tx_queue.put(
-            (payload, size_bytes, self.sim.now, pre_corrupted)
+        # The wire occupancy is computed analytically instead of slept
+        # through: the cursor accumulates with one float addition per
+        # frame, in send order, and the fault injector decides per frame
+        # in that same order.
+        now = self.sim.now
+        ser_start = self._busy_until
+        if ser_start < now:
+            ser_start = now
+        ser_end = ser_start + size_bytes * 8 / self.config.payload_bits_per_s
+        self._busy_until = ser_end
+        self.queue_delay.add(ser_start - now)
+        if _trace.ENABLED:
+            _trace.span(
+                "link.serialize", ser_start, ser_end, self.name,
+                bytes=size_bytes,
+            )
+        decision = self.faults.decide() if self.faults else None
+        if decision is not None and decision.drop:
+            if _trace.ENABLED:
+                _trace.instant(
+                    "link.drop", ser_start, self.name, bytes=size_bytes
+                )
+            return
+        corrupted = pre_corrupted or bool(
+            decision is not None and decision.corrupt
         )
-
-    def try_send(self, payload: Any, size_bytes: int,
-                 pre_corrupted: bool = False) -> bool:
-        if self._tx_queue.try_put(
-            (payload, size_bytes, self.sim.now, pre_corrupted)
-        ):
-            self.frames_sent += 1
-            self.bytes_sent += size_bytes
-            return True
-        return False
-
-    # -- wire pump ------------------------------------------------------------------
-    def _pump(self) -> Generator:
-        # The pump drains every frame queued at its wake-up instant in
-        # one pass, computing each frame's wire occupancy analytically
-        # instead of sleeping through it. The serialization cursor
-        # accumulates with the same float additions in the same order
-        # the sleeping formulation performed, and deliveries are
-        # scheduled at those absolute times — so delivery timestamps
-        # (and the fault-injector's per-frame decision order) are
-        # bit-identical to it; the frames just cost two events instead
-        # of four.
-        while True:
-            entry = yield self._tx_queue.get()
-            # No yields below, so nothing can enqueue mid-drain: taking
-            # the whole run up front preserves arrival order exactly.
-            entries = [entry]
-            while True:
-                entry = self._tx_queue.try_get()
-                if entry is None:
-                    break
-                entries.append(entry)
-            cursor = self._busy_until
-            if cursor < self.sim.now:
-                cursor = self.sim.now
-            payload_bits_per_s = self.config.payload_bits_per_s
-            for payload, size_bytes, enqueued_at, pre_corrupted in entries:
-                ser_start = cursor
-                cursor = cursor + size_bytes * 8 / payload_bits_per_s
-                ser_end = cursor
-                self.queue_delay.add(ser_start - enqueued_at)
-                if _trace.ENABLED:
-                    _trace.span(
-                        "link.serialize",
-                        ser_start,
-                        ser_end,
-                        self.name,
-                        bytes=size_bytes,
-                    )
-                decision = self.faults.decide() if self.faults else None
-                if not (decision is not None and decision.drop):
-                    corrupted = pre_corrupted or bool(
-                        decision is not None and decision.corrupt
-                    )
-                    if corrupted and _trace.ENABLED:
-                        _trace.instant(
-                            "link.corrupt", ser_start, self.name,
-                            bytes=size_bytes,
-                        )
-                    self.sim.schedule_at(
-                        ser_end + self.config.flight_latency_s,
-                        self._deliver,
-                        payload,
-                        size_bytes,
-                        corrupted,
-                    )
-                elif _trace.ENABLED:
-                    _trace.instant(
-                        "link.drop", ser_start, self.name, bytes=size_bytes
-                    )
-            self._busy_until = cursor
+        if corrupted and _trace.ENABLED:
+            _trace.instant(
+                "link.corrupt", ser_start, self.name, bytes=size_bytes
+            )
+        self.sim.schedule_at(
+            ser_end + self.config.flight_latency_s,
+            self._deliver,
+            payload,
+            size_bytes,
+            corrupted,
+        )
 
     def _deliver(self, payload: Any, size_bytes: int, corrupted: bool) -> None:
         self.frames_delivered += 1
         self.bytes_delivered += size_bytes
-        if not self._tx_to_rx(payload, corrupted):
-            raise RuntimeError(f"{self.name}: rx overflow (unbounded store?)")
-
-    def _tx_to_rx(self, payload: Any, corrupted: bool) -> bool:
-        return self.rx.try_put((payload, corrupted))
+        self.sink((payload, corrupted))
 
     # -- observability ------------------------------------------------------------
     def utilization(self, window_s: float) -> float:

@@ -129,7 +129,7 @@ class PacketSwitch:
                 self.frames_unroutable += 1
                 continue
             self.frames_forwarded += 1
-            yield link.send(
+            link.send(
                 frame.payload, frame.wire_bytes, pre_corrupted=corrupted
             )
 

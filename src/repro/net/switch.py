@@ -120,7 +120,7 @@ class CircuitSwitch:
             yield self.crossing_latency_s
             self.frames_forwarded += 1
             size = getattr(payload, "wire_bytes", 64)
-            yield egress.send(payload, size, pre_corrupted=corrupted)
+            egress.send(payload, size, pre_corrupted=corrupted)
 
     def _port(self, index: int) -> SwitchPort:
         try:

@@ -59,23 +59,49 @@ def classify_phase(name: str) -> str:
     return "other"
 
 
-def _target_name(target: Any) -> str:
-    """Best-effort component name for a sampled dispatch target."""
-    name = getattr(target, "name", None)
-    if isinstance(name, str) and name:
-        return name
-    # Bound method: prefer the owner's name over the method's, so every
-    # handler of one component aggregates under that component.
+def _named(obj: Any) -> Optional[str]:
+    name = getattr(obj, "name", None)
+    return name if isinstance(name, str) and name else None
+
+
+def _innermost_owner(generator: Any) -> Any:
+    """The object whose method a process is suspended in.
+
+    Layers delegate to each other with ``yield from``, so a process's
+    own generator is usually just the outermost frame; the innermost
+    delegated generator (the end of the ``gi_yieldfrom`` chain) is the
+    component actually holding the transaction.
+    """
+    inner = getattr(generator, "gi_yieldfrom", None)
+    if inner is None:
+        return None
+    while getattr(inner, "gi_yieldfrom", None) is not None:
+        inner = inner.gi_yieldfrom
+    frame = getattr(inner, "gi_frame", None)
+    return frame.f_locals.get("self") if frame is not None else None
+
+
+def _component(target: Any) -> Tuple[str, str]:
+    """Best-effort ``(phase, name)`` for a sampled dispatch target."""
+    # A process is named after the component its innermost delegated
+    # generator belongs to, falling back to the process's own name.
+    name = _named(_innermost_owner(getattr(target, "_generator", None)))
+    name = name or _named(target)
     owner = getattr(target, "__self__", None)
-    if owner is not None:
-        owner_name = getattr(owner, "name", None)
-        if isinstance(owner_name, str) and owner_name:
-            return owner_name
-        return type(owner).__name__
-    name = getattr(target, "__name__", None)
-    if isinstance(name, str) and name:
-        return name
-    return type(target).__name__
+    if name is None and owner is not None:
+        # Bound method: prefer the owner's name over the method's, so
+        # every handler of one component aggregates under that component.
+        name = _named(owner) or type(owner).__name__
+    if name is None:
+        name = getattr(target, "__name__", None)
+        if not (isinstance(name, str) and name):
+            name = type(target).__name__
+    phase = classify_phase(name)
+    if phase == "other" and owner is not None:
+        # Callbacks of components whose instance names say nothing about
+        # their layer (a link named "ch0.ab") classify by their type.
+        phase = classify_phase(type(owner).__name__)
+    return phase, name
 
 
 class SimProfiler:
@@ -112,8 +138,7 @@ class SimProfiler:
         # would mis-attribute samples once the allocator reuses an
         # address; sampling is strided, so the getattr chain is cheap
         # in aggregate.
-        name = _target_name(target)
-        key = (classify_phase(name), name)
+        key = _component(target)
         stat = self._stats.get(key)
         if stat is None:
             self._stats[key] = stat = [0, 0.0, 0.0]

@@ -9,7 +9,7 @@ behaves exactly like a memory controller for its window).
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional, Protocol, Tuple
+from typing import Any, Callable, Generator, List, Protocol, Tuple
 
 from ..mem.address import AddressError, AddressRange, CACHELINE_BYTES
 from ..mem.dram import DramDevice
@@ -27,13 +27,13 @@ class BusError(RuntimeError):
 class BusTarget(Protocol):
     """Anything the bus can dispatch a transaction to.
 
-    ``handle`` receives a request transaction whose address is already in
-    the *target's* window, and must return a simulation
-    :class:`~repro.sim.engine.Process` whose result is the response
-    transaction.
+    ``serve`` receives a request transaction whose address is already in
+    the *target's* window. It is a generator that runs inside the
+    issuing process (the bus delegates to it with ``yield from``) and
+    returns the response transaction.
     """
 
-    def handle(self, txn: MemTransaction) -> Process:  # pragma: no cover
+    def serve(self, txn: MemTransaction) -> Generator:  # pragma: no cover
         ...
 
 
@@ -43,37 +43,31 @@ class DramBusTarget:
     def __init__(self, dram: DramDevice):
         self.dram = dram
 
-    def handle(self, txn: MemTransaction) -> Process:
-        sim = self.dram.sim
-        return sim.process(self._serve(txn), name="dram.handle")
-
-    def _serve(self, txn: MemTransaction) -> Generator:
-        sim = self.dram.sim
+    def serve(self, txn: MemTransaction) -> Generator:
+        dram = self.dram
         if _trace.ENABLED:
             _trace.txn_mark(
-                sim.now, txn.base_txn_id, "dram.service", self.dram.name
+                dram.sim.now, txn.base_txn_id, "dram.service", dram.name
             )
-        response = yield from self._service(txn)
-        if _trace.ENABLED:
-            _trace.txn_mark(
-                sim.now, txn.base_txn_id, "dram.done", self.dram.name
-            )
-        return response
-
-    def _service(self, txn: MemTransaction) -> Generator:
         if txn.command == TLCommand.RD_MEM:
             if txn.burst > 1:
-                data = yield self.dram.read_burst(txn.address, txn.burst)
+                data = yield from dram.read_burst(txn.address, txn.burst)
             else:
-                data = yield self.dram.read(txn.address, txn.size)
-            return txn.make_response(data=data)
-        if txn.command == TLCommand.WRITE_MEM:
+                data = yield from dram.read(txn.address, txn.size)
+            response = txn.make_response(data=data)
+        elif txn.command == TLCommand.WRITE_MEM:
             if txn.burst > 1:
-                yield self.dram.write_burst(txn.address, txn.data)
+                yield from dram.write_burst(txn.address, txn.data)
             else:
-                yield self.dram.write(txn.address, txn.data)
-            return txn.make_response()
-        return txn.make_response(code=ResponseCode.ADDRESS_ERROR)
+                yield from dram.write(txn.address, txn.data)
+            response = txn.make_response()
+        else:
+            response = txn.make_response(code=ResponseCode.ADDRESS_ERROR)
+        if _trace.ENABLED:
+            _trace.txn_mark(
+                dram.sim.now, txn.base_txn_id, "dram.done", dram.name
+            )
+        return response
 
 
 class SystemBus:
@@ -129,8 +123,9 @@ class SystemBus:
         return [window for window, _target in self._map]
 
     # -- timed operations ------------------------------------------------------------
-    def issue(self, txn: MemTransaction) -> Process:
-        """Dispatch a prepared transaction; returns the response process."""
+    def issue(self, txn: MemTransaction) -> Generator:
+        """Dispatch a prepared transaction; delegate to it with
+        ``response = yield from bus.issue(txn)``."""
         _window, target = self.target_for(txn.address, txn.size)
         txn.issued_at = self.sim.now
         if txn.command == TLCommand.RD_MEM:
@@ -145,18 +140,20 @@ class SystemBus:
                 _trace.txn_begin(
                     self.sim.now, txn.base_txn_id, "store", txn.size, self.name
                 )
-        return target.handle(txn)
+        return target.serve(txn)
 
     def load(self, address: int, size: int = CACHELINE_BYTES) -> Process:
         """Timed load; the process result is the data bytes."""
         return self.sim.process(
-            self._load(address, size), name=f"{self.name}.load"
+            self._complete(MemTransaction.read, address, size, "load"),
+            name=f"{self.name}.load",
         )
 
     def store(self, address: int, data: bytes) -> Process:
         """Timed store; the process result is the response code."""
         return self.sim.process(
-            self._store(address, data), name=f"{self.name}.store"
+            self._complete(MemTransaction.write, address, data, "store"),
+            name=f"{self.name}.store",
         )
 
     def load_burst(self, address: int, lines: int) -> Process:
@@ -166,14 +163,18 @@ class SystemBus:
         within a page, which never straddles windows).
         """
         return self.sim.process(
-            self._issue_burst(MemTransaction.read_burst(address, lines)),
+            self._complete(
+                MemTransaction.read_burst, address, lines, "burst RD_MEM"
+            ),
             name=f"{self.name}.load",
         )
 
     def store_burst(self, address: int, data: bytes) -> Process:
         """Timed batched store of contiguous cachelines."""
         return self.sim.process(
-            self._issue_burst(MemTransaction.write_burst(address, data)),
+            self._complete(
+                MemTransaction.write_burst, address, data, "burst WRITE_MEM"
+            ),
             name=f"{self.name}.store",
         )
 
@@ -186,41 +187,29 @@ class SystemBus:
 
         registry.add_collector(collect)
 
-    def _issue_burst(self, txn: MemTransaction) -> Generator:
-        response = yield self.issue(txn)
+    def _complete(
+        self,
+        make: Callable[[int, Any], MemTransaction],
+        address: int,
+        operand: Any,
+        what: str,
+    ) -> Generator:
+        """One bus operation: build, issue, await and check the response.
+
+        The transaction is built when the process first runs, so ids are
+        drawn in the order operations start.
+        """
+        txn = make(address, operand)
+        response = yield from self.issue(txn)
         if _trace.ENABLED:
             _trace.txn_end(self.sim.now, txn.base_txn_id, self.name)
         if response.response_code is not ResponseCode.OK:
             raise BusError(
-                f"{self.name}: burst {txn.command.name} {txn.address:#x} "
-                f"failed: {response.response_code.name}"
+                f"{self.name}: {what} {txn.address:#x} failed: "
+                f"{response.response_code.name}"
             )
         if txn.command == TLCommand.RD_MEM:
             return response.data
-        return response.response_code
-
-    def _load(self, address: int, size: int) -> Generator:
-        txn = MemTransaction.read(address, size)
-        response = yield self.issue(txn)
-        if _trace.ENABLED:
-            _trace.txn_end(self.sim.now, txn.base_txn_id, self.name)
-        if response.response_code is not ResponseCode.OK:
-            raise BusError(
-                f"{self.name}: load {address:#x} failed: "
-                f"{response.response_code.name}"
-            )
-        return response.data
-
-    def _store(self, address: int, data: bytes) -> Generator:
-        txn = MemTransaction.write(address, data)
-        response = yield self.issue(txn)
-        if _trace.ENABLED:
-            _trace.txn_end(self.sim.now, txn.base_txn_id, self.name)
-        if response.response_code is not ResponseCode.OK:
-            raise BusError(
-                f"{self.name}: store {address:#x} failed: "
-                f"{response.response_code.name}"
-            )
         return response.response_code
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from ..mem.address import AddressRange
-from ..sim.engine import Process, Simulator
+from ..sim.engine import Simulator
 from .bus import BusError, BusTarget, SystemBus
 from .pasid import PasidRegistry
 from .transactions import MemTransaction, ResponseCode, TLCommand
@@ -70,15 +70,12 @@ class OpenCapiM1Port:
         bus.attach(window, self)
 
     # -- BusTarget protocol -------------------------------------------------------
-    def handle(self, txn: MemTransaction) -> Process:
-        return self.sim.process(self._forward(txn), name=f"{self.name}.fwd")
-
-    def _forward(self, txn: MemTransaction) -> Generator:
+    def serve(self, txn: MemTransaction) -> Generator:
         if self._device is None:
             return txn.make_response(code=ResponseCode.ADDRESS_ERROR)
         self.transactions += txn.burst
         yield self.crossing_latency_s
-        response = yield self._device.handle(txn)
+        response = yield from self._device.serve(txn)
         yield self.crossing_latency_s
         return response
 
@@ -108,16 +105,14 @@ class OpenCapiC1Port:
         self.mastered = 0
         self.denied = 0
 
-    def master(self, txn: MemTransaction) -> Process:
+    def master(self, txn: MemTransaction) -> Generator:
         """Master a request into the host's effective address space.
 
-        The result is the response transaction; a PASID violation yields
-        an ``ACCESS_DENIED`` response rather than an exception, because
-        on real hardware this surfaces as a bus error response.
+        Delegate with ``response = yield from port.master(txn)``. A PASID
+        violation returns an ``ACCESS_DENIED`` response rather than
+        raising, because on real hardware this surfaces as a bus error
+        response.
         """
-        return self.sim.process(self._master(txn), name=f"{self.name}.master")
-
-    def _master(self, txn: MemTransaction) -> Generator:
         try:
             self.pasids.check_access(txn.pasid, txn.address, txn.size)
         except PermissionError:
@@ -125,6 +120,6 @@ class OpenCapiC1Port:
             return txn.make_response(code=ResponseCode.ACCESS_DENIED)
         self.mastered += txn.burst
         yield self.crossing_latency_s
-        response = yield self.bus.issue(txn)
+        response = yield from self.bus.issue(txn)
         yield self.crossing_latency_s
         return response

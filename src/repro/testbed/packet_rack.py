@@ -49,28 +49,14 @@ class AddressedUplink:
         self.destination_port: Optional[int] = None
         self.frames_unpinned = 0
 
-    def try_send(self, payload, size_bytes: int,
-                 pre_corrupted: bool = False) -> bool:
+    def send(self, payload, size_bytes: int,
+             pre_corrupted: bool = False) -> None:
         if self.destination_port is None:
             # No session pinned: the frame has nowhere to go (parallels
             # dark fibre on the circuit fabric).
             self.frames_unpinned += 1
-            return True
-        return self.link.try_send(
-            Addressed(self.destination_port, payload),
-            size_bytes,
-            pre_corrupted=pre_corrupted,
-        )
-
-    def send(self, payload, size_bytes: int, pre_corrupted: bool = False):
-        if self.destination_port is None:
-            self.frames_unpinned += 1
-            from ..sim.engine import Signal
-
-            done = Signal(oneshot=True)
-            done.fire()
-            return done
-        return self.link.send(
+            return
+        self.link.send(
             Addressed(self.destination_port, payload),
             size_bytes,
             pre_corrupted=pre_corrupted,

@@ -35,13 +35,15 @@ def pump(sim, source, sink, count, payload_size=128):
                 index * 128, bytes([index % 251]) * payload_size
             )
             sent_ids.append(txn.txn_id)
-            yield source.submit(txn)
+            waiting = source.submit(txn)
+            if waiting is not None:
+                yield waiting
 
     received = []
 
     def receiver():
         for _ in range(count):
-            txn = yield sink.receive()
+            txn = yield from sink.receive()
             received.append(txn)
 
     sim.process(sender(), name="sender")
@@ -127,18 +129,22 @@ class TestLossyChannel:
             for index in range(5):
                 txn = MemTransaction.write(index * 128, bytes(128))
                 sent_ids.append(txn.txn_id)
-                yield a.submit(txn)
+                waiting = a.submit(txn)
+                if waiting is not None:
+                    yield waiting
             yield sim.timeout(10e-6)  # let earlier frames flush
             faults.force_drop_next()
             txn = MemTransaction.write(5 * 128, bytes(128))
             sent_ids.append(txn.txn_id)
-            yield a.submit(txn)
+            waiting = a.submit(txn)
+            if waiting is not None:
+                yield waiting
 
         received = []
 
         def receiver():
             for _ in range(6):
-                txn = yield b.receive()
+                txn = yield from b.receive()
                 received.append(txn.txn_id)
 
         sim.process(sender())
@@ -201,12 +207,14 @@ class TestLinkBringUp:
         a._credits.reset(a.config.rx_queue_slots)
 
         def sender():
-            yield a.submit(MemTransaction.write(0, bytes(128)))
+            waiting = a.submit(MemTransaction.write(0, bytes(128)))
+            if waiting is not None:
+                yield waiting
 
         got = []
 
         def receiver():
-            txn = yield b.receive()
+            txn = yield from b.receive()
             got.append(txn)
 
         sim.process(sender())

@@ -36,13 +36,15 @@ def pump(sim, source, sink, count):
                 index * 128, bytes([index % 251]) * 128
             )
             sent_ids.append(txn.txn_id)
-            yield source.submit(txn)
+            waiting = source.submit(txn)
+            if waiting is not None:
+                yield waiting
 
     received = []
 
     def receiver():
         for _ in range(count):
-            txn = yield sink.receive()
+            txn = yield from sink.receive()
             received.append(txn)
 
     sim.process(sender(), name="sender")
@@ -112,20 +114,24 @@ class TestDropStorm:
 
         def receiver():
             for _ in range(2):
-                received.append((yield b.receive()))
+                received.append((yield from b.receive()))
 
         proc = sim.process(receiver(), name="receiver")
 
         def sender():
             first = MemTransaction.write(0, b"x" * 128)
             sent_ids.append(first.txn_id)
-            yield a.submit(first)
+            waiting = a.submit(first)
+            if waiting is not None:
+                yield waiting
             # Let the first frame deliver; the next one is the tail.
             yield 4 * REPLAY_TIMEOUT_S
             injector.force_drop_next(2)  # original + boundary replay
             tail = MemTransaction.write(128, b"y" * 128)
             sent_ids.append(tail.txn_id)
-            yield a.submit(tail)
+            waiting = a.submit(tail)
+            if waiting is not None:
+                yield waiting
 
         sim.process(sender(), name="sender")
         sim.run(until=sim.now + 1.0)

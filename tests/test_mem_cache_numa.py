@@ -165,8 +165,8 @@ class TestDramDevice:
         dram = self.make_dram(sim)
 
         def proc():
-            yield dram.write(0x100, b"W" * CACHELINE_BYTES)
-            data = yield dram.read(0x100, CACHELINE_BYTES)
+            yield from dram.write(0x100, b"W" * CACHELINE_BYTES)
+            data = yield from dram.read(0x100, CACHELINE_BYTES)
             return data
 
         assert sim.run_process(proc()) == b"W" * CACHELINE_BYTES
@@ -176,7 +176,7 @@ class TestDramDevice:
         dram = self.make_dram(sim, latency=100e-9)
 
         def proc():
-            yield dram.read(0, CACHELINE_BYTES)
+            yield from dram.read(0, CACHELINE_BYTES)
             return sim.now
 
         elapsed = sim.run_process(proc())
@@ -188,7 +188,9 @@ class TestDramDevice:
         dram = self.make_dram(sim, latency=100e-9)  # 2 banks
 
         def issue_three():
-            procs = [dram.read(i * 128, 128) for i in range(3)]
+            procs = [
+                sim.process(dram.read(i * 128, 128)) for i in range(3)
+            ]
             yield sim.all_of(procs)
             return sim.now
 
@@ -202,8 +204,8 @@ class TestDramDevice:
         dram = self.make_dram(sim)
 
         def proc():
-            yield dram.read(0, 128)
-            yield dram.write(0, b"x" * 128)
+            yield from dram.read(0, 128)
+            yield from dram.write(0, b"x" * 128)
 
         sim.run_process(proc())
         assert dram.reads == 1

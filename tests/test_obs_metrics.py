@@ -200,13 +200,15 @@ def pump(sim, source, sink, count):
     def sender():
         for index in range(count):
             txn = MemTransaction.write(index * 128, bytes([index % 251]) * 128)
-            yield source.submit(txn)
+            waiting = source.submit(txn)
+            if waiting is not None:
+                yield waiting
 
     received = []
 
     def receiver():
         for _ in range(count):
-            received.append((yield sink.receive()))
+            received.append((yield from sink.receive()))
 
     sim.process(sender(), name="sender")
     proc = sim.process(receiver(), name="receiver")

@@ -108,7 +108,7 @@ class TestSamplingMechanics:
             assert disable_profiling() is profiler
         assert profiler.samples_taken > 10
         phases = {phase for phase, _name in profiler.stats()}
-        assert {"llc", "dram"} <= phases
+        assert {"bus", "dram", "endpoint", "link", "llc"} <= phases
         total_sim = sum(v[1] for v in profiler.stats().values())
         assert total_sim > 0.0
 
@@ -121,12 +121,17 @@ class TestSamplingMechanics:
                     "node0", 2 * MIB, memory_host="node1"
                 )
                 window = testbed.remote_window_range(attachment)
-                testbed.node0.run_store(window.start, bytes(4096))
+                # 8 KiB as concurrent single-line stores in one run: the
+                # stride countdown restarts with every run() call.
+                for offset in range(0, 8192, 128):
+                    testbed.node0.store(window.start + offset, bytes(128))
+                testbed.run()
             finally:
                 disable_profiling()
             return profiler.samples_taken
 
         dense, sparse = run(1), run(64)
+        assert dense >= 2 * 64, "too few events to sample at stride 64"
         assert dense > sparse
         assert sparse >= 1
 

@@ -152,7 +152,7 @@ class TestC1Port:
         txn.pasid = entry.pasid
 
         def proc():
-            response = yield port.master(txn)
+            response = yield from port.master(txn)
             return response
 
         response = sim.run_process(proc())
@@ -169,7 +169,7 @@ class TestC1Port:
         txn.pasid = entry.pasid
 
         def proc():
-            response = yield port.master(txn)
+            response = yield from port.master(txn)
             return response
 
         response = sim.run_process(proc())
@@ -238,7 +238,7 @@ class TestSerialLink:
         sim = Simulator()
         link = SerialLink(sim, LinkConfig())
         for index in range(5):
-            link.try_send(index, 64)
+            link.send(index, 64)
         sim.run()
         received = [link.rx.try_get()[0] for _ in range(5)]
         assert received == [0, 1, 2, 3, 4]
@@ -247,14 +247,14 @@ class TestSerialLink:
         sim = Simulator()
         config = LinkConfig(lanes=1, lane_gbps=1.0)  # 1 Gb/s slow link
         link = SerialLink(sim, config)
-        link.try_send("a", 1250)  # 10000 bits ≈ 10.3 µs at 64/66 coding
+        link.send("a", 1250)  # 10000 bits ≈ 10.3 µs at 64/66 coding
         sim.run()
         expected = config.serialization_time(1250) + config.flight_latency_s
         assert sim.now == pytest.approx(expected)
 
     def test_back_to_back_frames_delivery_times(self):
         """Each frame starts serializing where the previous one ended,
-        whether it was queued in the same pump pass or a later one."""
+        even when it is sent while the previous one is on the wire."""
         sim = Simulator()
         config = LinkConfig()
         link = SerialLink(sim, config)
@@ -266,9 +266,9 @@ class TestSerialLink:
                 arrivals.append((payload, sim.now))
 
         sim.process(receiver())
-        link.try_send("a", 64)
-        # Queued while "a" still occupies the wire: waits for it.
-        sim.schedule_at(1e-12, link.try_send, "b", 128)
+        link.send("a", 64)
+        # Sent while "a" still occupies the wire: waits for it.
+        sim.schedule_at(1e-12, link.send, "b", 128)
         sim.run()
         first_end = 0.0 + 64 * 8 / config.payload_bits_per_s
         second_end = first_end + 128 * 8 / config.payload_bits_per_s
@@ -289,8 +289,8 @@ class TestSerialLink:
         faults = FaultInjector()
         faults.force_drop_next()
         link = SerialLink(sim, LinkConfig(), faults=faults)
-        link.try_send("gone", 64)
-        link.try_send("kept", 64)
+        link.send("gone", 64)
+        link.send("kept", 64)
         sim.run()
         assert len(link.rx) == 1
         assert link.rx.try_get() == ("kept", False)
@@ -300,14 +300,14 @@ class TestSerialLink:
         faults = FaultInjector()
         faults.force_corrupt_next()
         link = SerialLink(sim, LinkConfig(), faults=faults)
-        link.try_send("payload", 64)
+        link.send("payload", 64)
         sim.run()
         assert link.rx.try_get() == ("payload", True)
 
     def test_utilization_accounting(self):
         sim = Simulator()
         link = SerialLink(sim, LinkConfig())
-        link.try_send("x", 1250)
+        link.send("x", 1250)
         sim.run()
         assert 0.0 < link.utilization(sim.now) <= 1.0
 
