@@ -964,23 +964,22 @@ def _run_dse(argv) -> int:
     return 0
 
 
-# -- sharded multi-rack cluster replay --------------------------------------------
+# -- multi-rack cluster replay ----------------------------------------------------
 
 
 def _run_cluster(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro cluster",
         description=(
-            "Sharded rack-domain simulation: replay the cluster trace "
-            "as live attach/detach/steal traffic across N rack "
-            "testbeds, each its own simulation domain under "
-            "conservative (Chandy-Misra) time sync. --jobs fans the "
-            "domains out over worker processes; the artifact is "
-            "byte-identical to a serial run for the same config."
+            "Rack-domain simulation: replay the cluster trace as live "
+            "attach/detach/steal traffic across N rack testbeds, each "
+            "its own simulation domain under conservative "
+            "(Chandy-Misra) time sync. The artifact is byte-identical "
+            "for the same config."
         ),
         epilog=(
             "examples: python -m repro cluster --racks 4 --tasks 2000; "
-            "python -m repro cluster --scale 0.013 --jobs 4 --chaos "
+            "python -m repro cluster --scale 0.013 --chaos "
             "--out cluster-artifacts"
         ),
     )
@@ -1030,11 +1029,6 @@ def _run_cluster(argv) -> int:
              "(force-detach its leases, remap borrowers)",
     )
     parser.add_argument(
-        "--jobs", default=None,
-        help="domain worker processes ('auto' = cpu count; default: "
-             "$SWEEP_JOBS or 1)",
-    )
-    parser.add_argument(
         "--out", default=None,
         help="directory for cluster-summary.json + cluster-journal.jsonl",
     )
@@ -1050,7 +1044,6 @@ def _run_cluster(argv) -> int:
         run_cluster,
         write_artifacts,
     )
-    from .sweep import resolve_jobs
 
     machines = args.machines
     if args.scale is not None:
@@ -1072,9 +1065,8 @@ def _run_cluster(argv) -> int:
         chaos=args.chaos,
         **overrides,
     )
-    jobs = resolve_jobs(args.jobs)
 
-    artifact, runtime = run_cluster(config, jobs=jobs)
+    artifact, runtime = run_cluster(config)
     summary = artifact["summary"]
 
     if args.json:
@@ -1100,7 +1092,7 @@ def _run_cluster(argv) -> int:
             f"sync    : {artifact['rounds']} windows of "
             f"{config.inter_rack_latency:g} (horizon "
             f"{artifact['horizon']:.0f}), {artifact['messages']} "
-            f"inter-rack messages, jobs {runtime['jobs']}"
+            "inter-rack messages"
         )
         total = max(summary["tasks"], 1)
         share = "  ".join(
@@ -1114,10 +1106,7 @@ def _run_cluster(argv) -> int:
                 "traffic : "
                 + "  ".join(f"{k} {v}" for k, v in sorted(counters.items()))
             )
-        print(
-            f"wall    : {runtime['wall_s']:.2f} s "
-            f"(domain busy {runtime['busy_s']:.2f} s)"
-        )
+        print(f"wall    : {runtime['wall_s']:.2f} s")
     if args.out is not None:
         paths = write_artifacts(artifact, args.out)
         print(f"summary : {paths['summary']}")
@@ -1300,8 +1289,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub.add_parser(
         "cluster",
-        help="sharded multi-rack trace replay under conservative time "
-             "sync (--racks N, --scale S, --jobs J)",
+        help="multi-rack trace replay under conservative time "
+             "sync (--racks N, --scale S, --chaos)",
         add_help=False,
     )
     sub.add_parser(

@@ -6,7 +6,7 @@ from .models import (
     FixedDatacentre,
     Placement,
 )
-from .replay import BUILDER_TARGET, run_cluster, write_artifacts
+from .replay import run_cluster, write_artifacts
 from .simulation import (
     UtilizationReport,
     replay_trace,
@@ -51,7 +51,6 @@ __all__ = [
     "build_rack_domain",
     "cluster_trace_events",
     "machines_in_rack",
-    "BUILDER_TARGET",
     "run_cluster",
     "write_artifacts",
     "FixedDatacentre",

@@ -9,27 +9,30 @@ deterministic cluster artifact.
 
 The artifact contract is the headline of this subsystem: everything in
 :func:`run_cluster`'s first return value derives from ``(config,
-seed)`` alone — no wall-clock, no job count, no pid — so a parallel
-run is byte-identical to a serial one and CI can ``cmp`` the files.
-Runtime provenance (jobs, wall/busy seconds) travels in the *second*
-return value, never in the artifact.
+seed)`` alone — no wall-clock, no pid — so two runs of one config are
+byte-identical and CI can check the files against fixed digests.
+Host wall-clock travels in the *second* return value, never in the
+artifact.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import time
 from typing import Any, Dict, Optional, Tuple
 
 from ..obs import MetricsRegistry
 from ..obs.events import merge_event_streams
 from ..sim.domains import DomainCoordinator
-from .topology import TASK_CLASSES, ClusterConfig, cluster_trace_events
+from .topology import (
+    TASK_CLASSES,
+    ClusterConfig,
+    build_rack_domain,
+    cluster_trace_events,
+)
 
-__all__ = ["BUILDER_TARGET", "run_cluster", "write_artifacts"]
-
-#: Importable-by-name builder the pool workers resolve.
-BUILDER_TARGET = "py:repro.cluster.topology:build_rack_domain"
+__all__ = ["run_cluster", "write_artifacts"]
 
 
 def run_cluster(
@@ -40,27 +43,30 @@ def run_cluster(
     """Replay the cluster trace across ``config.racks`` rack domains.
 
     Returns ``(artifact, runtime)``. ``artifact`` is deterministic and
-    byte-comparable across job counts; ``runtime`` carries the
-    non-deterministic provenance (``jobs``, ``wall_s``, ``busy_s``,
-    speedup inputs). When ``registry`` is given, every rack's metric
-    snapshot is merged into it with a ``domain="rackN"`` label.
+    byte-comparable across runs; ``runtime`` carries the host
+    ``wall_s`` of building and running the domains. When ``registry``
+    is given, every rack's metric snapshot is merged into it with a
+    ``domain="rackN"`` label.
     """
+    # Accepted only for bench/workloads.py, which passes jobs=1.
+    if jobs != 1:
+        raise ValueError(f"jobs must be 1, got {jobs!r}")
     events, horizon = cluster_trace_events(config)
     slices = [[] for _ in range(config.racks)]
     for event in events:
         slices[event.task.task_id % config.racks].append(event)
-    builders = [
-        (BUILDER_TARGET, {"rack_index": rack, "config": config,
-                          "events": slices[rack], "horizon": horizon})
+    started = time.perf_counter()
+    domains = [
+        build_rack_domain(rack, config, slices[rack], horizon)
         for rack in range(config.racks)
     ]
     coordinator = DomainCoordinator(
-        builders,
+        domains,
         lookahead=config.inter_rack_latency,
         horizon=horizon,
-        jobs=jobs,
     )
     result = coordinator.run()
+    wall_s = time.perf_counter() - started
     racks = result["artifacts"]
 
     journal = merge_event_streams(
@@ -107,12 +113,7 @@ def run_cluster(
         ],
         "journal": journal,
     }
-    runtime = {
-        "jobs": result["jobs"],
-        "wall_s": result["wall_s"],
-        "busy_s": result["busy_s"],
-    }
-    return artifact, runtime
+    return artifact, {"wall_s": wall_s}
 
 
 def write_artifacts(artifact: Dict[str, Any], out_dir: str) -> Dict[str, str]:

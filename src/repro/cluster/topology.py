@@ -30,8 +30,7 @@ reservation against the neighbor's export budget, one
 Determinism contract: every callback ordering derives from the domain
 simulator and the sorted inbox, every random draw from the seeded
 trace, and nothing here reads wall-clock — so a rack domain's artifact
-is byte-identical for a given config regardless of which process (or
-how many) ran it.
+is byte-identical for a given config.
 """
 
 from __future__ import annotations
@@ -76,7 +75,7 @@ GOOGLE_TRACE_MACHINES = 12_555
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Shape of one cluster run (picklable; crosses into pool workers)."""
+    """Shape of one cluster run."""
 
     racks: int = 4
     #: Physical nodes per rack testbed; first half borrow, second half
@@ -222,9 +221,8 @@ class RackDomain:
     def __init__(self, rack_index: int, config: ClusterConfig,
                  events: List[TraceEvent], horizon: float):
         # Global datapath counters must not depend on how many domains
-        # this process built before us (serial builds all N in one
-        # process; a pool worker builds its shard) — reset for
-        # byte-identical artifacts either way.
+        # this process built before us — reset so a rack's artifact
+        # depends on its own config alone.
         reset_txn_ids()
         self.rack = rack_index
         self.config = config
@@ -519,5 +517,5 @@ class RackDomain:
 
 def build_rack_domain(rack_index: int, config: ClusterConfig,
                       events: List[TraceEvent], horizon: float) -> RackDomain:
-    """Domain-builder target for the coordinator (picklable by name)."""
+    """Build one rack's domain program for the coordinator."""
     return RackDomain(rack_index, config, events, horizon)

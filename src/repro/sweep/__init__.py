@@ -22,7 +22,6 @@ Figure regeneration goes through :func:`run_figures` (the
 """
 
 from .bootstrap import (
-    derive_seed,
     normalize_jobs,
     pool_worker_init,
     resolve_jobs,
@@ -44,7 +43,6 @@ __all__ = [
     "normalize_jobs",
     "resolve_jobs",
     "pool_worker_init",
-    "derive_seed",
     "worker_run_snapshot",
     "resolve_target",
     "figure_specs",

@@ -1,4 +1,4 @@
-"""``python -m repro cluster`` — the sharded replay CLI."""
+"""``python -m repro cluster`` — the multi-rack replay CLI."""
 
 import json
 
@@ -14,7 +14,8 @@ class TestClusterCli:
         assert excinfo.value.code == 0
         out = capsys.readouterr().out
         assert "python -m repro cluster" in out
-        assert "--racks" in out and "--scale" in out and "--jobs" in out
+        assert "--racks" in out and "--scale" in out
+        assert "--jobs" not in out
 
     def test_small_run_text_output(self, capsys):
         assert main([
@@ -37,7 +38,7 @@ class TestClusterCli:
         assert set(payload["summary"]["classes"]) == {
             "local", "rack_pool", "remote_pool", "stranded", "rejected"
         }
-        assert payload["runtime"]["jobs"] == 1
+        assert set(payload["runtime"]) == {"wall_s"}
 
     def test_scale_sizes_the_fleet(self, capsys):
         assert main([
@@ -56,18 +57,9 @@ class TestClusterCli:
         argv = ["cluster", "--racks", "2", "--machines", "8",
                 "--tasks", "80", "--chaos"]
         assert main(argv + ["--out", str(tmp_path / "a")]) == 0
-        assert main(argv + ["--jobs", "2", "--out", str(tmp_path / "b")]) == 0
+        assert main(argv + ["--out", str(tmp_path / "b")]) == 0
         capsys.readouterr()
         for name in ("cluster-summary.json", "cluster-journal.jsonl"):
             first = (tmp_path / "a" / name).read_bytes()
             second = (tmp_path / "b" / name).read_bytes()
             assert first == second, name
-
-    def test_jobs_env_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("SWEEP_JOBS", "2")
-        assert main([
-            "cluster", "--racks", "2", "--machines", "8",
-            "--tasks", "40", "--json",
-        ]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["runtime"]["jobs"] == 2

@@ -2,13 +2,9 @@
 
 A toy ring-token program — cheap, message-heavy, and sensitive to
 delivery order — exercises the coordinator's invariants directly:
-serial and sharded runs must produce identical artifacts, inboxes must
-be delivered in ``(deliver_t, src, seq)`` order, and lookahead
-violations must fail loudly rather than silently reorder time.
-
-The builders live in this module; forked pool workers inherit
-``sys.modules``, so ``py:test_domains:...`` targets resolve on the
-worker side too.
+inboxes must be delivered in ``(deliver_t, src, seq)`` order, in-flight
+messages must drain past the horizon, and lookahead violations must
+fail loudly rather than silently reorder time.
 """
 
 import pytest
@@ -79,10 +75,6 @@ class RingProgram:
         return {"index": self.index, "log": self.log, "sent": self.seq}
 
 
-def build_ring(index, count, **kwargs):
-    return RingProgram(index, count, **kwargs)
-
-
 class BadLatencyProgram:
     """Emits a message faster than the lookahead allows."""
 
@@ -101,31 +93,22 @@ class BadLatencyProgram:
         return {}
 
 
-def build_bad_latency(index, count):
-    return BadLatencyProgram(index, count)
+def ring_programs(count, **kwargs):
+    return [RingProgram(index, count, **kwargs) for index in range(count)]
 
 
-def ring_builders(count, **kwargs):
-    return [
-        ("py:test_domains:build_ring",
-         {"index": index, "count": count, **kwargs})
-        for index in range(count)
-    ]
-
-
-def run_ring(count, jobs, **kwargs):
+def run_ring(count, **kwargs):
     coordinator = DomainCoordinator(
-        ring_builders(count, **kwargs),
+        ring_programs(count, **kwargs),
         lookahead=LATENCY,
         horizon=60.0,
-        jobs=jobs,
     )
     return coordinator.run()
 
 
 class TestCoordinatorSerial:
     def test_tokens_travel_the_ring(self):
-        result = run_ring(3, jobs=1)
+        result = run_ring(3)
         artifacts = result["artifacts"]
         assert [a["index"] for a in artifacts] == [0, 1, 2]
         # 3 domains x 3 tokens x 5 hops = 45 deliveries in total.
@@ -134,12 +117,12 @@ class TestCoordinatorSerial:
         assert result["rounds"] >= 6  # horizon 60 / lookahead 10
 
     def test_single_domain_no_messages(self):
-        result = run_ring(1, jobs=1)
+        result = run_ring(1)
         # dst == src: a 1-ring forwards to itself.
         assert result["artifacts"][0]["sent"] > 0
 
     def test_delivery_sorted_by_time_src_seq(self):
-        result = run_ring(4, jobs=1)
+        result = run_ring(4)
         for artifact in result["artifacts"]:
             keys = [(t, src, seq) for t, src, seq, _ in artifact["log"]]
             assert keys == sorted(keys)
@@ -147,18 +130,16 @@ class TestCoordinatorSerial:
     def test_drain_runs_past_horizon(self):
         # Tokens launched near the horizon still finish their hops.
         coordinator = DomainCoordinator(
-            ring_builders(2, tokens=1, hops=8),
+            ring_programs(2, tokens=1, hops=8),
             lookahead=LATENCY,
             horizon=1.0,
-            jobs=1,
         )
         result = coordinator.run()
         assert sum(len(a["log"]) for a in result["artifacts"]) == 2 * 8
 
     def test_validation_rejects_fast_messages(self):
         coordinator = DomainCoordinator(
-            [("py:test_domains:build_bad_latency",
-              {"index": index, "count": 2}) for index in range(2)],
+            [BadLatencyProgram(index, 2) for index in range(2)],
             lookahead=LATENCY,
             horizon=30.0,
         )
@@ -169,26 +150,9 @@ class TestCoordinatorSerial:
         with pytest.raises(ValueError):
             DomainCoordinator([], lookahead=1.0, horizon=1.0)
         with pytest.raises(ValueError):
-            DomainCoordinator(ring_builders(1), lookahead=0.0, horizon=1.0)
+            DomainCoordinator(ring_programs(1), lookahead=0.0, horizon=1.0)
         with pytest.raises(ValueError):
-            DomainCoordinator(ring_builders(1), lookahead=1.0, horizon=-1.0)
-
-
-class TestCoordinatorParallel:
-    """The headline invariant: sharded == serial, byte for byte."""
-
-    @pytest.mark.parametrize("jobs", [2, 3])
-    def test_parallel_matches_serial(self, jobs):
-        serial = run_ring(3, jobs=1)
-        parallel = run_ring(3, jobs=jobs)
-        assert serial["artifacts"] == parallel["artifacts"]
-        assert serial["rounds"] == parallel["rounds"]
-        assert serial["messages"] == parallel["messages"]
-
-    def test_more_jobs_than_domains_clamps(self):
-        result = run_ring(2, jobs=8)
-        assert result["jobs"] == 2
-        assert result["artifacts"] == run_ring(2, jobs=1)["artifacts"]
+            DomainCoordinator(ring_programs(1), lookahead=1.0, horizon=-1.0)
 
 
 class TestDomainMessage:

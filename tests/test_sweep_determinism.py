@@ -220,7 +220,7 @@ class TestEngineBasics:
 
 
 class TestSharedBootstrap:
-    """One worker-bootstrap helper serves both pools (sweep + domains)."""
+    """The worker-bootstrap helpers the sweep pool and its callers share."""
 
     def test_resolve_jobs_explicit_wins_over_env(self, monkeypatch):
         from repro.sweep import resolve_jobs
@@ -247,14 +247,6 @@ class TestSharedBootstrap:
         from repro.sweep import bootstrap, engine
 
         assert engine.normalize_jobs is bootstrap.normalize_jobs
-
-    def test_derive_seed_is_stable_and_sensitive(self):
-        from repro.sweep.bootstrap import derive_seed
-
-        assert derive_seed(7, "a", 1) == derive_seed(7, "a", 1)
-        assert derive_seed(7, "a", 1) != derive_seed(7, "a", 2)
-        assert derive_seed(7, "a", 1) != derive_seed(8, "a", 1)
-        assert 0 <= derive_seed(7, "x") < 2 ** 63
 
     def test_worker_run_snapshot_shape(self):
         from repro.sweep.bootstrap import worker_run_snapshot
