@@ -1,35 +1,83 @@
 """Command line: regenerate paper figures, run the demo, trace, sweep.
 
-Usage::
-
-    python -m repro list                 # what can be regenerated
-    python -m repro fig5                 # one figure's series (serial)
-    python -m repro all                  # every figure (serial)
-    python -m repro demo                 # attach/detach walk-through
-    python -m repro trace stream         # traced run + Chrome-trace artifacts
-    python -m repro trace chaos --scenario link-kill-failover
-    python -m repro metrics stream       # Prometheus exposition + events + profile
-    python -m repro figures --jobs auto  # parallel + cached regeneration
-    python -m repro sweep slice:fig8.config --sweep kind=local,scale-out \\
-        --set samples=30000              # fan a target out over a grid
-    python -m repro chaos link-kill-failover --seed 7 --out chaos-artifacts
-    python -m repro dse --smoke          # fault-campaign DSE + SLO ranking
-    python -m repro serve --port 8080    # control plane over HTTP (asyncio)
-    python -m repro loadtest --smoke     # throughput-vs-p99 curves + shed counts
+Every command is one entry of :data:`COMMANDS`, which builds both the
+parser and the dispatch. ``python -m repro --help`` lists the commands;
+``python -m repro <command> --help`` shows one command's options.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
 import sys
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 from .figures import FIGURES, render
 
 
-def _run_demo() -> None:
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _fraction(text: str) -> float:
+    """argparse type: a float in (0, 1]."""
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {value}")
+    return value
+
+
+def _workload_bytes(text: str) -> int:
+    """argparse type: a size rounded down to 256 B, at least 256."""
+    nbytes = int(text)
+    return max(256, nbytes - nbytes % 256)
+
+
+def _add_bytes_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--bytes",
+        type=_workload_bytes,
+        default=128 * 1024,
+        dest="nbytes",
+        help="workload size in bytes (rounded down to 256 B, min 256)",
+    )
+
+
+def _add_slo_argument(parser: argparse.ArgumentParser, note: str) -> None:
+    parser.add_argument(
+        "--slo",
+        action="append",
+        default=[],
+        metavar="SPEC",
+        dest="slos",
+        help="SLO spec 'name: metric{k=v,...} op threshold' " + note,
+    )
+
+
+def _run_figure(args, parser) -> int:
+    names = sorted(FIGURES) if args.command == "all" else [args.command]
+    for name in names:
+        print(render(FIGURES[name]()))
+        print()
+    return 0
+
+
+def _run_list(args, parser) -> int:
+    for command in COMMANDS:
+        if command.name in FIGURES:
+            print(f"{command.name:6s} {command.help}")
+    return 0
+
+
+def _run_demo(args, parser) -> int:
     from .mem import MIB
     from .obs import MetricsRegistry, RunSummary, summary_from_snapshot
     from .testbed import Testbed
@@ -69,6 +117,7 @@ def _run_demo() -> None:
             prefixes=["bus", "endpoint", "llc", "dram"],
         ).render()
     )
+    return 0
 
 
 # -- traced workloads ------------------------------------------------------------
@@ -138,17 +187,7 @@ _TRACE_WORKLOADS = {
 }
 
 
-def _run_trace(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro trace",
-        description=(
-            "Run one workload with end-to-end tracing enabled and write "
-            "the Chrome-trace JSON (Perfetto/chrome://tracing), the "
-            "metrics snapshot JSON and a terminal summary. The 'chaos' "
-            "workload traces a resilience scenario (--scenario) and "
-            "additionally writes its event journal."
-        ),
-    )
+def _trace_arguments(parser: argparse.ArgumentParser) -> None:
     from .resilience import SCENARIOS
 
     parser.add_argument(
@@ -157,16 +196,10 @@ def _run_trace(argv) -> int:
         nargs="?",
         help="workload to trace",
     )
-    parser.add_argument(
-        "--bytes",
-        type=int,
-        default=128 * 1024,
-        dest="nbytes",
-        help="workload size in bytes (rounded down to 256 B, min 256)",
-    )
+    _add_bytes_argument(parser)
     parser.add_argument(
         "--sample",
-        type=int,
+        type=_positive_int,
         default=1,
         help="trace 1 in N transactions (default: every transaction)",
     )
@@ -187,13 +220,14 @@ def _run_trace(argv) -> int:
         default="trace-artifacts",
         help="output directory for the exported artifacts",
     )
-    args = parser.parse_args(argv)
+
+
+def _run_trace(args, parser) -> int:
     if args.workload is None:
         parser.print_help()
         return 0
     if args.workload == "chaos":
         return _trace_chaos(args)
-    nbytes = max(256, args.nbytes - args.nbytes % 256)
 
     from .obs import (
         MetricsRegistry,
@@ -207,7 +241,7 @@ def _run_trace(argv) -> int:
     os.makedirs(args.out, exist_ok=True)
     tracer = enable_tracing(sample_every=args.sample)
     try:
-        testbed = _TRACE_WORKLOADS[args.workload](nbytes)
+        testbed = _TRACE_WORKLOADS[args.workload](args.nbytes)
     finally:
         disable_tracing()
     registry = MetricsRegistry()
@@ -284,46 +318,22 @@ def _trace_chaos(args) -> int:
 # -- telemetry pipeline -----------------------------------------------------------
 
 
-def _run_metrics(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro metrics",
-        description=(
-            "Run one workload with the full telemetry pipeline enabled "
-            "(metrics registry + structured event log + sim-time "
-            "profiler) and print the registry in Prometheus text "
-            "exposition format. Writes the exposition, the JSON-lines "
-            "event journal and a flame-graph folded-stacks profile; "
-            "--slo evaluates declarative objectives against the final "
-            "registry and exits non-zero on breach."
-        ),
-    )
+def _metrics_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "workload",
         choices=sorted(_TRACE_WORKLOADS),
         nargs="?",
         help="workload to run with telemetry on",
     )
-    parser.add_argument(
-        "--bytes",
-        type=int,
-        default=128 * 1024,
-        dest="nbytes",
-        help="workload size in bytes (rounded down to 256 B, min 256)",
-    )
+    _add_bytes_argument(parser)
     parser.add_argument(
         "--stride",
-        type=int,
+        type=_positive_int,
         default=1024,
         help="profiler sampling stride in kernel events",
     )
-    parser.add_argument(
-        "--slo",
-        action="append",
-        default=[],
-        metavar="SPEC",
-        dest="slos",
-        help="SLO spec 'name: metric{k=v,...} op threshold' (repeatable); "
-             "any breach makes the exit code non-zero",
+    _add_slo_argument(
+        parser, "(repeatable); any breach makes the exit code non-zero"
     )
     parser.add_argument(
         "--top",
@@ -336,11 +346,12 @@ def _run_metrics(argv) -> int:
         default="metrics-artifacts",
         help="output directory for the exported artifacts",
     )
-    args = parser.parse_args(argv)
+
+
+def _run_metrics(args, parser) -> int:
     if args.workload is None:
         parser.print_help()
         return 0
-    nbytes = max(256, args.nbytes - args.nbytes % 256)
 
     from .obs import (
         MetricsRegistry,
@@ -359,7 +370,7 @@ def _run_metrics(argv) -> int:
     enable_events()
     enable_profiling(stride=args.stride)
     try:
-        testbed = _TRACE_WORKLOADS[args.workload](nbytes)
+        testbed = _TRACE_WORKLOADS[args.workload](args.nbytes)
     finally:
         profiler = disable_profiling()
 
@@ -436,16 +447,7 @@ def _make_engine(args):
     )
 
 
-def _run_figures(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro figures",
-        description=(
-            "Regenerate paper figures through the sweep engine: "
-            "independent slices fan out over worker processes and "
-            "cached slices are not recomputed. Output tables are "
-            "byte-identical to the serial figure functions."
-        ),
-    )
+def _figures_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "figures",
         nargs="*",
@@ -454,8 +456,9 @@ def _run_figures(argv) -> int:
              f"{', '.join(sorted(FIGURES))})",
     )
     _add_engine_arguments(parser)
-    args = parser.parse_args(argv)
 
+
+def _run_figures(args, parser) -> int:
     from .obs import summary_from_snapshot
     from .sweep import run_figures
 
@@ -499,20 +502,7 @@ def _parse_assignment(option: str, text: str):
     return key, value
 
 
-def _run_sweep(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro sweep",
-        description=(
-            "Fan one target out over a parameter grid through the "
-            "sweep engine. Targets: 'slice:<name>' (figure slices), "
-            "'figure:<name>' (whole figures), 'py:<module>:<function>' "
-            "(any importable JSON-returning function)."
-        ),
-        epilog=(
-            "example: python -m repro sweep slice:fig8.config "
-            "--sweep kind=local,scale-out --set samples=10000 --jobs 2"
-        ),
-    )
+def _sweep_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "target", help="target to run (slice:, figure: or py:module:function)"
     )
@@ -545,8 +535,9 @@ def _run_sweep(argv) -> int:
         help="print one JSON object per run instead of the table",
     )
     _add_engine_arguments(parser)
-    args = parser.parse_args(argv)
 
+
+def _run_sweep(args, parser) -> int:
     from .sweep import make_spec, resolve_target
 
     try:
@@ -605,16 +596,7 @@ def _run_sweep(argv) -> int:
 # -- chaos engineering -----------------------------------------------------------
 
 
-def _run_chaos(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro chaos",
-        description=(
-            "Run one deterministic fault-recovery scenario (seeded "
-            "campaigns, monitored failover, journal replay) and print "
-            "its verdict; optionally write the full JSON result with "
-            "a sorted metrics snapshot for byte-for-byte diffing."
-        ),
-    )
+def _chaos_arguments(parser: argparse.ArgumentParser) -> None:
     from .resilience import SCENARIOS
 
     parser.add_argument(
@@ -634,7 +616,9 @@ def _run_chaos(argv) -> int:
         default=None,
         help="directory for the chaos-<scenario>.json artifact",
     )
-    args = parser.parse_args(argv)
+
+
+def _run_chaos(args, parser) -> int:
     if args.scenario is None:
         parser.print_help()
         return 0
@@ -677,26 +661,7 @@ def _run_chaos(argv) -> int:
 # -- fault-campaign design-space exploration --------------------------------------
 
 
-def _run_dse(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro dse",
-        description=(
-            "Fault-campaign design-space exploration with "
-            "availability-SLO decision support: build a design over the "
-            "robustness factor space (factorial grid or seeded "
-            "evolutionary search), run every cell through the cached "
-            "sweep engine, judge cells against availability SLOs, and "
-            "write a decision-support report (text + JSON + markdown) "
-            "ranking the SLO-passing configurations by bandwidth cost "
-            "and naming the dominant sensitivity factors."
-        ),
-        epilog=(
-            "examples: python -m repro dse --design factorial "
-            "--factor failover_policy=fast,none --replicates 2; "
-            "python -m repro dse --design evolve --generations 3 "
-            "--population 6 --jobs auto"
-        ),
-    )
+def _dse_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--design",
         choices=("factorial", "evolve"),
@@ -715,7 +680,7 @@ def _run_dse(argv) -> int:
     )
     parser.add_argument(
         "--replicates",
-        type=int,
+        type=_positive_int,
         default=1,
         help="seed replicates per design point (replicate i runs with "
              "seed base+i)",
@@ -729,7 +694,7 @@ def _run_dse(argv) -> int:
     )
     parser.add_argument(
         "--fraction",
-        type=int,
+        type=_positive_int,
         default=1,
         help="factorial only: keep a deterministic 1/N lattice slice "
              "of the full grid",
@@ -762,14 +727,8 @@ def _run_dse(argv) -> int:
         help="response minimized among SLO-passing configurations "
              "(and the evolutionary fitness)",
     )
-    parser.add_argument(
-        "--slo",
-        action="append",
-        default=[],
-        metavar="SPEC",
-        dest="slos",
-        help="SLO spec 'name: metric{k=v,...} op threshold' "
-             "(repeatable; default: the stock availability objectives)",
+    _add_slo_argument(
+        parser, "(repeatable; default: the stock availability objectives)"
     )
     parser.add_argument(
         "--payload-kib",
@@ -805,7 +764,13 @@ def _run_dse(argv) -> int:
         help="print the JSON report instead of the text rendering",
     )
     _add_engine_arguments(parser)
-    args = parser.parse_args(argv)
+
+
+def _run_dse(args, parser) -> int:
+    if not 0 <= args.phase < args.fraction:
+        parser.error(
+            f"--phase must be in [0, {args.fraction}), got {args.phase}"
+        )
 
     from .resilience.dse import (
         CELL_TARGET,
@@ -967,24 +932,11 @@ def _run_dse(argv) -> int:
 # -- multi-rack cluster replay ----------------------------------------------------
 
 
-def _run_cluster(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro cluster",
-        description=(
-            "Rack-domain simulation: replay the cluster trace as live "
-            "attach/detach/steal traffic across N rack testbeds, each "
-            "its own simulation domain under conservative "
-            "(Chandy-Misra) time sync. The artifact is byte-identical "
-            "for the same config."
-        ),
-        epilog=(
-            "examples: python -m repro cluster --racks 4 --tasks 2000; "
-            "python -m repro cluster --scale 0.013 --chaos "
-            "--out cluster-artifacts"
-        ),
-    )
+def _cluster_arguments(parser: argparse.ArgumentParser) -> None:
+    from .cluster import ClusterConfig
+
     parser.add_argument(
-        "--racks", type=int, default=4,
+        "--racks", type=_positive_int, default=4,
         help="rack domains (each a full packet-switched testbed)",
     )
     parser.add_argument(
@@ -992,7 +944,7 @@ def _run_cluster(argv) -> int:
         help="nodes per rack; first half borrow, second half lend",
     )
     parser.add_argument(
-        "--scale", type=float, default=None,
+        "--scale", type=_fraction, default=None,
         help="size the logical-machine fleet as a fraction of the "
              "Google trace's 12555 machines (overrides --machines)",
     )
@@ -1005,7 +957,7 @@ def _run_cluster(argv) -> int:
         help="trace length; default sizes it from the machine count",
     )
     parser.add_argument(
-        "--sample", type=float, default=1.0,
+        "--sample", type=_fraction, default=1.0,
         help="deterministically keep this fraction of the trace's "
              "tasks (0 < f <= 1)",
     )
@@ -1014,12 +966,14 @@ def _run_cluster(argv) -> int:
         help="trace seed (same seed + config => identical artifact)",
     )
     parser.add_argument(
-        "--local-fraction", type=float, default=None, metavar="F",
+        "--local-fraction", type=float, metavar="F",
+        default=ClusterConfig.local_memory_fraction,
         help="machine memory that is local; tasks above it lease from "
              "the rack pool (default 0.1)",
     )
     parser.add_argument(
-        "--latency", type=float, default=None, metavar="T",
+        "--latency", type=float, metavar="T",
+        default=ClusterConfig.inter_rack_latency,
         help="one-way inter-rack latency in trace time units — also "
              "the sync lookahead / window width (default 50)",
     )
@@ -1036,8 +990,9 @@ def _run_cluster(argv) -> int:
         "--json", action="store_true",
         help="print the summary JSON instead of the text rendering",
     )
-    args = parser.parse_args(argv)
 
+
+def _run_cluster(args, parser) -> int:
     from .cluster import (
         GOOGLE_TRACE_MACHINES,
         ClusterConfig,
@@ -1047,14 +1002,7 @@ def _run_cluster(argv) -> int:
 
     machines = args.machines
     if args.scale is not None:
-        if not 0.0 < args.scale <= 1.0:
-            parser.error(f"--scale must be in (0, 1], got {args.scale}")
         machines = max(args.racks, round(GOOGLE_TRACE_MACHINES * args.scale))
-    overrides = {}
-    if args.local_fraction is not None:
-        overrides["local_memory_fraction"] = args.local_fraction
-    if args.latency is not None:
-        overrides["inter_rack_latency"] = args.latency
     config = ClusterConfig(
         racks=args.racks,
         nodes_per_rack=args.nodes,
@@ -1063,7 +1011,8 @@ def _run_cluster(argv) -> int:
         seed=args.seed,
         sample=args.sample,
         chaos=args.chaos,
-        **overrides,
+        local_memory_fraction=args.local_fraction,
+        inter_rack_latency=args.latency,
     )
 
     artifact, runtime = run_cluster(config)
@@ -1117,23 +1066,16 @@ def _run_cluster(argv) -> int:
 # -- control-plane server + load test --------------------------------------------
 
 
-def _run_serve(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro serve",
-        description=(
-            "Boot the prototype testbed and serve its control plane "
-            "over HTTP (asyncio, stdlib-only). Prints the issued "
-            "credentials; Ctrl-C drains gracefully."
-        ),
-    )
+def _serve_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8080,
                         help="0 picks an ephemeral port")
     parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--queue-depth", type=int, default=256,
                         help="bounded admission-queue depth")
-    args = parser.parse_args(argv)
 
+
+def _run_serve(args, parser) -> int:
     import asyncio
 
     from .control.api import RestApi
@@ -1181,25 +1123,16 @@ def _run_serve(argv) -> int:
     return 0
 
 
-def _run_loadtest(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro loadtest",
-        description=(
-            "Open-loop load test of the control-plane HTTP server: "
-            "stages of rising request rate against three tenants "
-            "(guaranteed/burstable/best-effort), reporting throughput, "
-            "latency percentiles, the validation-latency CDF, shed "
-            "counts and peak RSS to BENCH_control.json."
-        ),
-    )
+def _loadtest_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--smoke", action="store_true",
                         help="short CI preset (seconds, still sheds)")
     parser.add_argument("--queue-depth", type=int, default=64)
     parser.add_argument("--out", default="BENCH_control.json")
     parser.add_argument("--json", action="store_true",
                         help="print the full report as JSON")
-    args = parser.parse_args(argv)
 
+
+def _run_loadtest(args, parser) -> int:
     from .control.loadgen import run_control_benchmark
 
     report = run_control_benchmark(
@@ -1234,18 +1167,147 @@ def _run_loadtest(argv) -> int:
 
 # -- entry point -----------------------------------------------------------------
 
-#: Subcommands with their own argv (dispatched before the main parser).
-_SUBCOMMANDS = {
-    "trace": _run_trace,
-    "metrics": _run_metrics,
-    "figures": _run_figures,
-    "sweep": _run_sweep,
-    "chaos": _run_chaos,
-    "cluster": _run_cluster,
-    "dse": _run_dse,
-    "serve": _run_serve,
-    "loadtest": _run_loadtest,
-}
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: ``arguments(parser)`` adds its options to its
+    subparser; ``run(args, parser)`` gets that subparser back and returns
+    the exit code."""
+
+    name: str
+    help: str
+    run: Callable[[argparse.Namespace, argparse.ArgumentParser], int]
+    arguments: Callable[[argparse.ArgumentParser], None] = lambda parser: None
+    description: Optional[str] = None
+    epilog: Optional[str] = None
+
+
+#: Every ``python -m repro`` command, in ``--help`` order.
+COMMANDS = (
+    Command("list", "list every regenerable figure", _run_list),
+    Command("all", "regenerate every figure serially", _run_figure),
+    *(
+        Command(name, fn.__doc__.strip().splitlines()[0], _run_figure)
+        for name, fn in sorted(FIGURES.items())
+    ),
+    Command("demo", "attach/detach walk-through with summary", _run_demo),
+    Command(
+        "trace",
+        "traced workload run with Chrome-trace + metrics artifacts",
+        _run_trace,
+        _trace_arguments,
+        description="Run one workload with end-to-end tracing enabled and "
+                    "write the Chrome-trace JSON "
+                    "(Perfetto/chrome://tracing), the metrics snapshot JSON "
+                    "and a terminal summary. The 'chaos' workload traces a "
+                    "resilience scenario (--scenario) and additionally "
+                    "writes its event journal.",
+    ),
+    Command(
+        "metrics",
+        "telemetry run: Prometheus exposition, event log, profiler",
+        _run_metrics,
+        _metrics_arguments,
+        description="Run one workload with the full telemetry pipeline "
+                    "enabled (metrics registry + structured event log + "
+                    "sim-time profiler) and print the registry in Prometheus "
+                    "text exposition format. Writes the exposition, the "
+                    "JSON-lines event journal and a flame-graph "
+                    "folded-stacks profile; --slo evaluates declarative "
+                    "objectives against the final registry and exits "
+                    "non-zero on breach.",
+    ),
+    Command(
+        "figures",
+        "parallel, cached figure regeneration (--jobs N, --no-cache)",
+        _run_figures,
+        _figures_arguments,
+        description="Regenerate paper figures through the sweep engine: "
+                    "independent slices fan out over worker processes and "
+                    "cached slices are not recomputed. Output tables are "
+                    "byte-identical to the serial figure functions.",
+    ),
+    Command(
+        "sweep",
+        "fan a target out over a parameter grid (--sweep k=v1,v2)",
+        _run_sweep,
+        _sweep_arguments,
+        description="Fan one target out over a parameter grid through the "
+                    "sweep engine. Targets: 'slice:<name>' (figure slices), "
+                    "'figure:<name>' (whole figures), "
+                    "'py:<module>:<function>' (any importable JSON-returning "
+                    "function).",
+        epilog="example: python -m repro sweep slice:fig8.config --sweep "
+               "kind=local,scale-out --set samples=10000 --jobs 2",
+    ),
+    Command(
+        "chaos",
+        "deterministic fault-recovery scenario (--seed N, --out DIR)",
+        _run_chaos,
+        _chaos_arguments,
+        description="Run one deterministic fault-recovery scenario (seeded "
+                    "campaigns, monitored failover, journal replay) and "
+                    "print its verdict; optionally write the full JSON "
+                    "result with a sorted metrics snapshot for byte-for-byte "
+                    "diffing.",
+    ),
+    Command(
+        "cluster",
+        "multi-rack trace replay under conservative time sync "
+        "(--racks N, --scale S, --chaos)",
+        _run_cluster,
+        _cluster_arguments,
+        description="Rack-domain simulation: replay the cluster trace as "
+                    "live attach/detach/steal traffic across N rack "
+                    "testbeds, each its own simulation domain under "
+                    "conservative (Chandy-Misra) time sync. The artifact is "
+                    "byte-identical for the same config.",
+        epilog="examples: python -m repro cluster --racks 4 --tasks 2000; "
+               "python -m repro cluster --scale 0.013 --chaos --out "
+               "cluster-artifacts",
+    ),
+    Command(
+        "dse",
+        "fault-campaign design-space exploration with SLO-ranked "
+        "decision support (--design factorial|evolve)",
+        _run_dse,
+        _dse_arguments,
+        description="Fault-campaign design-space exploration with "
+                    "availability-SLO decision support: build a design over "
+                    "the robustness factor space (factorial grid or seeded "
+                    "evolutionary search), run every cell through the cached "
+                    "sweep engine, judge cells against availability SLOs, "
+                    "and write a decision-support report (text + JSON + "
+                    "markdown) ranking the SLO-passing configurations by "
+                    "bandwidth cost and naming the dominant sensitivity "
+                    "factors.",
+        epilog="examples: python -m repro dse --design factorial --factor "
+               "failover_policy=fast,none --replicates 2; python -m repro "
+               "dse --design evolve --generations 3 --population 6 --jobs "
+               "auto",
+    ),
+    Command(
+        "serve",
+        "serve the control plane over HTTP (--port, --workers)",
+        _run_serve,
+        _serve_arguments,
+        description="Boot the prototype testbed and serve its control plane "
+                    "over HTTP (asyncio, stdlib-only). Prints the issued "
+                    "credentials; Ctrl-C drains gracefully.",
+    ),
+    Command(
+        "loadtest",
+        "throughput-vs-latency load test of the control-plane server "
+        "(--smoke, --out BENCH_control.json)",
+        _run_loadtest,
+        _loadtest_arguments,
+        description="Open-loop load test of the control-plane HTTP server: "
+                    "stages of rising request rate against three tenants "
+                    "(guaranteed/burstable/best-effort), reporting "
+                    "throughput, latency percentiles, the validation-latency "
+                    "CDF, shed counts and peak RSS to BENCH_control.json.",
+    ),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -1257,87 +1319,27 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
-    sub.add_parser("list", help="list every regenerable figure")
-    sub.add_parser("all", help="regenerate every figure serially")
-    for name, fn in sorted(FIGURES.items()):
-        sub.add_parser(name, help=fn.__doc__.strip().splitlines()[0])
-    sub.add_parser("demo", help="attach/detach walk-through with summary")
-    sub.add_parser(
-        "trace",
-        help="traced workload run with Chrome-trace + metrics artifacts",
-        add_help=False,
-    )
-    sub.add_parser(
-        "metrics",
-        help="telemetry run: Prometheus exposition, event log, profiler",
-        add_help=False,
-    )
-    sub.add_parser(
-        "figures",
-        help="parallel, cached figure regeneration (--jobs N, --no-cache)",
-        add_help=False,
-    )
-    sub.add_parser(
-        "sweep",
-        help="fan a target out over a parameter grid (--sweep k=v1,v2)",
-        add_help=False,
-    )
-    sub.add_parser(
-        "chaos",
-        help="deterministic fault-recovery scenario (--seed N, --out DIR)",
-        add_help=False,
-    )
-    sub.add_parser(
-        "cluster",
-        help="multi-rack trace replay under conservative time "
-             "sync (--racks N, --scale S, --chaos)",
-        add_help=False,
-    )
-    sub.add_parser(
-        "dse",
-        help="fault-campaign design-space exploration with SLO-ranked "
-             "decision support (--design factorial|evolve)",
-        add_help=False,
-    )
-    sub.add_parser(
-        "serve",
-        help="serve the control plane over HTTP (--port, --workers)",
-        add_help=False,
-    )
-    sub.add_parser(
-        "loadtest",
-        help="throughput-vs-latency load test of the control-plane "
-             "server (--smoke, --out BENCH_control.json)",
-        add_help=False,
-    )
+    for command in COMMANDS:
+        sub_parser = sub.add_parser(
+            command.name,
+            help=command.help,
+            description=command.description,
+            epilog=command.epilog,
+        )
+        command.arguments(sub_parser)
+        sub_parser.set_defaults(
+            run=functools.partial(command.run, parser=sub_parser)
+        )
     return parser
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    # Subcommands with options of their own get the raw argv tail; the
-    # main parser only ever sees the simple single-token commands.
-    if argv and argv[0] in _SUBCOMMANDS:
-        return _SUBCOMMANDS[argv[0]](list(argv[1:]))
     parser = _build_parser()
     args = parser.parse_args(argv)
-
     if args.command is None:
         parser.print_help()
         return 2
-    if args.command == "list":
-        for name, fn in sorted(FIGURES.items()):
-            print(f"{name:6s} {fn.__doc__.strip().splitlines()[0]}")
-        return 0
-    if args.command == "demo":
-        _run_demo()
-        return 0
-    targets = sorted(FIGURES) if args.command == "all" else [args.command]
-    for name in targets:
-        print(render(FIGURES[name]()))
-        print()
-    return 0
+    return args.run(args)
 
 
 if __name__ == "__main__":

@@ -28,11 +28,19 @@ __all__ = [
     "FixedDatacentre",
     "DisaggregatedDatacentre",
     "AllocationFailure",
+    "best_fit",
 ]
 
 
 class AllocationFailure(RuntimeError):
     """The model could not place a task (capacity or connectivity)."""
+
+
+def best_fit(feasible: np.ndarray, slack: np.ndarray) -> Optional[int]:
+    """The feasible index with the least slack (lowest on ties), or None."""
+    if not feasible.any():
+        return None
+    return int(np.argmin(np.where(feasible, slack, np.inf)))
 
 
 @dataclass
@@ -59,17 +67,13 @@ class FixedDatacentre:
     def allocate(self, task: TaskRequest) -> Placement:
         """Best fit: the feasible server with least total slack left."""
         feasible = (self.cpu_free >= task.cpu) & (self.mem_free >= task.memory)
-        if not feasible.any():
+        slack = (self.cpu_free - task.cpu) + (self.mem_free - task.memory)
+        best_index = best_fit(feasible, slack)
+        if best_index is None:
             raise AllocationFailure(
                 f"task {task.task_id}: no server fits "
                 f"(cpu={task.cpu:.3f}, mem={task.memory:.3f})"
             )
-        slack = np.where(
-            feasible,
-            (self.cpu_free - task.cpu) + (self.mem_free - task.memory),
-            np.inf,
-        )
-        best_index = int(np.argmin(slack))
         self.cpu_free[best_index] -= task.cpu
         self.mem_free[best_index] -= task.memory
         self.tasks_on[best_index] += 1
@@ -153,13 +157,13 @@ class DisaggregatedDatacentre:
 
     def _best_fit_compute(self, task: TaskRequest) -> int:
         feasible = (self.cpu_free >= task.cpu) & (self.compute_links_free >= 1)
-        if not feasible.any():
+        compute = best_fit(feasible, self.cpu_free - task.cpu)
+        if compute is None:
             raise AllocationFailure(
                 f"task {task.task_id}: no compute module fits "
                 f"cpu={task.cpu:.3f}"
             )
-        slack = np.where(feasible, self.cpu_free - task.cpu, np.inf)
-        return int(np.argmin(slack))
+        return compute
 
     def _place_memory(
         self, task: TaskRequest, compute: int
@@ -167,9 +171,9 @@ class DisaggregatedDatacentre:
         """Best-fit on one module; split across modules when needed."""
         # Single-module best fit first (uses one link).
         feasible = (self.mem_free >= task.memory) & (self.memory_links_free >= 1)
-        if feasible.any():
-            slack = np.where(feasible, self.mem_free - task.memory, np.inf)
-            return [(int(np.argmin(slack)), task.memory)]
+        unit = best_fit(feasible, self.mem_free - task.memory)
+        if unit is not None:
+            return [(unit, task.memory)]
         # Split: largest-remaining-first until satisfied, bounded by the
         # compute module's free links.
         remaining = task.memory

@@ -50,6 +50,7 @@ from ..opencapi.transactions import reset_txn_ids
 from ..sim.domains import DomainMessage
 from ..testbed import PacketRackTestbed
 from ..testbed.node import NodeSpec
+from .models import best_fit
 from .simulation import scaled_trace_config
 from .trace import EventKind, TaskRequest, TraceEvent, downsample_trace, \
     synthesize_trace
@@ -175,25 +176,16 @@ class RackPool:
 
     def __init__(self, machines: int, local_memory_fraction: float):
         self.machines = machines
-        self.cpu_free = np.ones(max(machines, 1), dtype=np.float64)
-        self.mem_free = np.full(
-            max(machines, 1), local_memory_fraction, dtype=np.float64
-        )
-        if machines == 0:
-            self.cpu_free = self.cpu_free[:0]
-            self.mem_free = self.mem_free[:0]
+        self.cpu_free = np.ones(machines, dtype=np.float64)
+        self.mem_free = np.full(machines, local_memory_fraction, np.float64)
 
     def place(self, cpu: float, mem_local: float) -> Optional[int]:
         """Best-fit machine index, or ``None`` when nothing fits."""
-        if not self.machines:
-            return None
         feasible = (self.cpu_free >= cpu) & (self.mem_free >= mem_local)
-        if not feasible.any():
-            return None
-        slack = np.where(feasible, self.cpu_free - cpu, np.inf)
-        index = int(np.argmin(slack))
-        self.cpu_free[index] -= cpu
-        self.mem_free[index] -= mem_local
+        index = best_fit(feasible, self.cpu_free - cpu)
+        if index is not None:
+            self.cpu_free[index] -= cpu
+            self.mem_free[index] -= mem_local
         return index
 
     def release(self, index: int, cpu: float, mem_local: float) -> None:

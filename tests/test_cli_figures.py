@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.__main__ import COMMANDS
 from repro.figures import FIGURES, fig5, fig8, render, rtt
 
 
@@ -66,8 +67,8 @@ class TestCli:
 
 
 class TestCliHelp:
-    """Every subcommand is listed with one-line help, and each
-    option-taking subcommand answers ``--help`` (no drift)."""
+    """Every subcommand is listed with one-line help, and every entry of
+    the command table answers ``--help`` under its own prog."""
 
     def test_top_level_help_lists_every_subcommand(self, capsys):
         from repro.__main__ import main
@@ -82,8 +83,7 @@ class TestCliHelp:
         for figure in FIGURES:
             assert figure in out, figure
 
-    @pytest.mark.parametrize("command", ["trace", "figures", "sweep",
-                                         "cluster"])
+    @pytest.mark.parametrize("command", [c.name for c in COMMANDS])
     def test_subcommand_help(self, command, capsys):
         from repro.__main__ import main
 
@@ -92,31 +92,6 @@ class TestCliHelp:
         assert excinfo.value.code == 0
         out = capsys.readouterr().out
         assert f"python -m repro {command}" in out
-
-    def _subparsers(self):
-        import argparse
-
-        from repro.__main__ import _build_parser
-
-        action, = [
-            action for action in _build_parser()._actions
-            if isinstance(action, argparse._SubParsersAction)
-        ]
-        return action.choices
-
-    def test_every_dispatched_command_is_a_parser_choice(self):
-        from repro.__main__ import _SUBCOMMANDS
-
-        assert set(_SUBCOMMANDS) <= set(self._subparsers())
-
-    def test_every_raw_argv_subparser_is_dispatched(self):
-        from repro.__main__ import _SUBCOMMANDS
-
-        raw = {
-            name for name, parser in self._subparsers().items()
-            if not parser.add_help
-        }
-        assert raw == set(_SUBCOMMANDS)
 
     def test_removed_command_is_an_invalid_choice(self, capsys):
         from repro.__main__ import main
@@ -131,6 +106,30 @@ class TestCliHelp:
 
         assert main([]) == 2
         assert "figures" in capsys.readouterr().out
+
+
+class TestCliBadNumbers:
+    """Out-of-range numbers are usage errors (exit 2) caught by the
+    parser, before any artifact directory is created."""
+
+    @pytest.mark.parametrize("argv", [
+        ["trace", "stream", "--sample", "0"],
+        ["metrics", "stream", "--stride", "0"],
+        ["cluster", "--racks", "0"],
+        ["cluster", "--sample", "0"],
+        ["dse", "--replicates", "0"],
+        ["dse", "--fraction", "2", "--phase", "5"],
+    ], ids=["trace-sample", "metrics-stride", "cluster-racks",
+            "cluster-sample", "dse-replicates", "dse-phase"])
+    def test_rejected_by_the_parser(self, argv, tmp_path, capsys):
+        from repro.__main__ import main
+
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--out", str(out)])
+        assert excinfo.value.code == 2
+        assert f"python -m repro {argv[0]}: error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCliSweepEngine:

@@ -91,6 +91,11 @@ class TestRackPool:
         # CPU is free but local memory is exhausted.
         assert pool.place(0.1, 0.05) is None
 
+    def test_empty_pool_places_nothing(self):
+        pool = RackPool(0, local_memory_fraction=0.1)
+        assert pool.place(0.1, 0.05) is None
+        assert pool.cpu_used() == 0.0
+
 
 class TestRackDomain:
     def test_single_rack_strands_nothing_remote(self):
