@@ -33,7 +33,7 @@ from repro.__main__ import main
 
 SMOKE = os.environ.get("CONTROL_PERF_SMOKE", "") not in ("", "0")
 
-#: Results land at the repository root, next to BENCH_kernel.json.
+#: Results land at the repository root.
 RESULTS_PATH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     "BENCH_control.json",

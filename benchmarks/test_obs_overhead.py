@@ -14,8 +14,7 @@ because a scrape handler that takes longer than a sim quantum would
 distort live experiments.
 
 Results merge into ``BENCH_obs.json`` at the repository root so
-overhead regressions show up in review diffs, mirroring
-``BENCH_kernel.json``.
+overhead regressions show up in review diffs.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from repro.testbed import RemoteBuffer, Testbed
 
 SMOKE = os.environ.get("OBS_PERF_SMOKE", "") not in ("", "0")
 
-#: Results land at the repository root, next to BENCH_kernel.json.
+#: Results land at the repository root.
 RESULTS_PATH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     "BENCH_obs.json",

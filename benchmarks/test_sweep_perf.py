@@ -2,7 +2,7 @@
 
 Measures three ways of regenerating figures 5-9 (the per-configuration
 model sweeps; Fig. 1 is a single monolithic cluster replay and is
-covered by ``BENCH_kernel.json``'s workloads instead):
+timed by ``python -m bench``'s ``fig1_replay`` workload instead):
 
 * **serial** — ``jobs=1``, cache off: the pre-engine baseline cost;
 * **cold parallel** — ``jobs=4`` into an empty cache: fan-out speedup;
@@ -34,7 +34,7 @@ from repro.sweep import run_figures
 
 SMOKE = os.environ.get("SWEEP_PERF_SMOKE", "") not in ("", "0")
 
-#: Results land at the repository root, next to BENCH_kernel.json.
+#: Results land at the repository root.
 RESULTS_PATH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     "BENCH_sweeps.json",

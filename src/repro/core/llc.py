@@ -93,6 +93,8 @@ class Frame:
     nop_padding: int = 0
     crc: int = 0
     ack_id: Optional[int] = None
+    #: Cumulative credits the sender's Rx side has returned since link
+    #: bring-up (like ``ack_id``, a lost frame loses no grant).
     credit_grant: int = 0
     replay_from: Optional[int] = None  #: set on replay-request control frames
     is_replay: bool = False
@@ -172,6 +174,8 @@ class LlcEndpoint:
         self._next_frame_id = 0
         self._retention: Dict[int, Frame] = {}
         self._retention_timer_armed = False
+        #: Highest cumulative grant seen from the peer.
+        self._grants_seen = 0
 
         # Rx state ---------------------------------------------------------------
         self._expected_id = 0
@@ -179,6 +183,9 @@ class LlcEndpoint:
         self._ingress = Store(
             sim, capacity=self.config.rx_queue_slots, name=f"{name}.ingress"
         )
+        #: Cumulative credits returned to the peer; every frame carries it.
+        self._grants_returned = 0
+        #: Credits returned since the last frame went out (flush trigger).
         self._pending_grants = 0
         self._control_flush_armed = False
         self._last_tx_time = -1.0
@@ -236,6 +243,7 @@ class LlcEndpoint:
         txn = yield self._ingress.get()
         # A burst segment occupied one ingress slot per cacheline worth
         # of credit the peer consumed; free them all.
+        self._grants_returned += txn.burst
         self._pending_grants += txn.burst
         self._arm_control_flush()
         return txn
@@ -291,6 +299,8 @@ class LlcEndpoint:
         self._next_frame_id = 0
         self._expected_id = 0
         self._replay_requested_for = -1
+        self._grants_returned = 0
+        self._grants_seen = 0
         self._pending_grants = 0
         self._pending_bulk = None
         while self._tx_queue.try_get() is not None:
@@ -410,7 +420,7 @@ class LlcEndpoint:
                 )
             self._arm_retention_timer()
         frame.ack_id = self._expected_id - 1 if self._expected_id else None
-        frame.credit_grant = self._pending_grants
+        frame.credit_grant = self._grants_returned
         self._pending_grants = 0
         frame.seal()
         frame.sent_at = self.sim.now
@@ -440,7 +450,7 @@ class LlcEndpoint:
                 is_replay=True,
             )
             copy.ack_id = self._expected_id - 1 if self._expected_id else None
-            copy.credit_grant = self._pending_grants
+            copy.credit_grant = self._grants_returned
             self._pending_grants = 0
             copy.seal()
             copy.sent_at = self.sim.now
@@ -539,8 +549,9 @@ class LlcEndpoint:
         self._arm_control_flush()
 
     def _apply_piggyback(self, frame: Frame) -> None:
-        if frame.credit_grant:
-            self._credits.grant(frame.credit_grant)
+        if frame.credit_grant > self._grants_seen:
+            self._credits.grant(frame.credit_grant - self._grants_seen)
+            self._grants_seen = frame.credit_grant
         if frame.ack_id is not None:
             for frame_id in [f for f in self._retention if f <= frame.ack_id]:
                 del self._retention[frame_id]
@@ -591,7 +602,7 @@ class LlcEndpoint:
             wire_bytes=FLIT_BYTES + FRAME_HEADER_BYTES,
         )
         frame.ack_id = self._expected_id - 1 if self._expected_id else None
-        frame.credit_grant = self._pending_grants
+        frame.credit_grant = self._grants_returned
         self._pending_grants = 0
         frame.seal()
         self.control_frames += 1

@@ -21,15 +21,10 @@ Figure regeneration goes through :func:`run_figures` (the
 ``python -m repro figures --jobs N`` CLI is a thin wrapper over it).
 """
 
-from .bootstrap import (
-    normalize_jobs,
-    pool_worker_init,
-    resolve_jobs,
-    worker_run_snapshot,
-)
+from .bootstrap import normalize_jobs, pool_worker_init, worker_run_snapshot
 from .cache import ResultCache, default_cache_dir
 from .engine import SweepEngine, SweepOutcome, resolve_target
-from .fingerprint import combine_fingerprints, file_digest, source_fingerprint
+from .fingerprint import source_fingerprint
 from .runner import figure_specs, run_figures
 from .spec import RunSpec, make_spec
 
@@ -41,13 +36,10 @@ __all__ = [
     "SweepEngine",
     "SweepOutcome",
     "normalize_jobs",
-    "resolve_jobs",
     "pool_worker_init",
     "worker_run_snapshot",
     "resolve_target",
     "figure_specs",
     "run_figures",
     "source_fingerprint",
-    "file_digest",
-    "combine_fingerprints",
 ]

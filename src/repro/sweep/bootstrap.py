@@ -7,8 +7,8 @@ and its callers share:
 * **Tracing hygiene** — a worker forked mid-trace would inherit the
   parent's live tracer; every worker starts from a clean
   observability slate.
-* **Job-count resolution** — :func:`resolve_jobs` takes an explicit
-  count, else ``SWEEP_JOBS``, else 1.
+* **Job-count normalization** — :func:`normalize_jobs` turns
+  ``'auto'`` into the CPU count.
 * **Registry capture** — :func:`worker_run_snapshot` is the flattened
   per-run metrics record workers ship back for the parent registry to
   ``merge_flat``.
@@ -22,15 +22,10 @@ from typing import Dict, Union
 from ..obs import MetricsRegistry, disable_tracing
 
 __all__ = [
-    "JOBS_ENV",
     "normalize_jobs",
-    "resolve_jobs",
     "pool_worker_init",
     "worker_run_snapshot",
 ]
-
-#: Environment variable sizing the sweep pool.
-JOBS_ENV = "SWEEP_JOBS"
 
 
 def normalize_jobs(jobs: Union[int, str, None]) -> int:
@@ -41,18 +36,6 @@ def normalize_jobs(jobs: Union[int, str, None]) -> int:
     if count < 1:
         raise ValueError(f"jobs must be >= 1 or 'auto', got {jobs!r}")
     return count
-
-
-def resolve_jobs(value: Union[int, str, None] = None,
-                 env: str = JOBS_ENV) -> int:
-    """Resolve a job count: explicit value, else ``$SWEEP_JOBS``, else 1.
-
-    The explicit value (CLI flag, constructor argument) always wins;
-    an unset/empty value falls back to the environment.
-    """
-    if value in (None, ""):
-        value = os.environ.get(env) or "1"
-    return normalize_jobs(value)
 
 
 def pool_worker_init() -> None:

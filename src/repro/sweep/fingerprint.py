@@ -6,10 +6,6 @@ the installed ``repro`` package (path + content), so any edit anywhere
 in the simulation stack changes every :class:`~repro.sweep.RunSpec` key
 and cold-runs the whole sweep — conservative by design: a stale number
 is worse than a recomputed one.
-
-Targets that live outside the package (``py:module:function`` specs,
-e.g. benchmark drivers) extend the fingerprint with their own source
-file via :func:`combine_fingerprints`.
 """
 
 from __future__ import annotations
@@ -18,19 +14,10 @@ import hashlib
 import os
 from functools import lru_cache
 
-__all__ = ["source_fingerprint", "file_digest", "combine_fingerprints"]
+__all__ = ["source_fingerprint"]
 
 #: Directory of the ``repro`` package itself (``.../src/repro``).
 _PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def file_digest(path: str) -> str:
-    """sha256 hex digest of one file's bytes."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 16), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 @lru_cache(maxsize=1)
@@ -55,7 +42,3 @@ def source_fingerprint() -> str:
             digest.update(b"\0")
     return digest.hexdigest()
 
-
-def combine_fingerprints(*parts: str) -> str:
-    """Fold several digests into one (order-sensitive)."""
-    return hashlib.sha256(":".join(parts).encode("utf-8")).hexdigest()

@@ -1,12 +1,12 @@
 """Figure regeneration on top of the sweep engine.
 
-``repro.figures`` describes every figure as a *plan*: a title, headers
-and an ordered list of independent slice calls (see
+``repro.figures`` describes every figure as a *plan*: a title, headers,
+a formatter and an ordered list of independent slice calls (see
 ``repro.figures.FIGURE_PLANS``). This module turns plans into
 :class:`~repro.sweep.RunSpec` lists, executes them through a
 :class:`~repro.sweep.SweepEngine` — all figures' slices in one global
 fan-out, so a wide figure keeps the pool busy while a narrow one
-finishes — and reassembles the slice rows into the same
+finishes — and formats the slices' numbers into the same
 ``(title, headers, rows)`` tables the serial functions return. Row
 order is fixed by the plan, never by completion order, which is why
 ``--jobs N`` output is byte-identical to serial output.
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..figures import FIGURE_PLANS, FigureTable
+from ..figures import FIGURE_PLANS, FigurePlan, FigureTable, tabulate
 from .engine import SweepEngine
 from .spec import RunSpec, make_spec
 
@@ -27,14 +27,14 @@ def figure_specs(
     name: str,
     fingerprint: Optional[str] = None,
     **kwargs: Any,
-) -> Tuple[str, List[str], List[RunSpec]]:
-    """One figure's (title, headers, specs) from its declarative plan."""
-    title, headers, calls = FIGURE_PLANS[name](**kwargs)
+) -> Tuple[FigurePlan, List[RunSpec]]:
+    """One figure's plan and its slice calls as specs."""
+    plan = FIGURE_PLANS[name](**kwargs)
     specs = [
         make_spec(f"slice:{slice_name}", fingerprint=fingerprint, **call_kwargs)
-        for slice_name, call_kwargs in calls
+        for slice_name, call_kwargs in plan.calls
     ]
-    return title, headers, specs
+    return plan, specs
 
 
 def run_figures(
@@ -65,20 +65,18 @@ def run_figures(
     if engine is None:
         engine = SweepEngine(jobs=jobs, cache=cache, cache_dir=cache_dir)
 
-    layout = []  # (name, title, headers, first spec index, spec count)
+    layout = []  # (name, plan, first spec index, spec count)
     all_specs: List[RunSpec] = []
     for name in names:
         overrides = (figure_kwargs or {}).get(name, {})
-        title, headers, specs = figure_specs(name, **overrides)
-        layout.append((name, title, headers, len(all_specs), len(specs)))
+        plan, specs = figure_specs(name, **overrides)
+        layout.append((name, plan, len(all_specs), len(specs)))
         all_specs.extend(specs)
 
     outcomes = engine.run(all_specs)
 
     tables: Dict[str, FigureTable] = {}
-    for name, title, headers, start, count in layout:
-        rows: List[List[str]] = []
-        for outcome in outcomes[start:start + count]:
-            rows.extend(outcome.value)
-        tables[name] = (title, headers, rows)
+    for name, plan, start, count in layout:
+        values = [outcome.value for outcome in outcomes[start:start + count]]
+        tables[name] = tabulate(plan, values)
     return tables, engine

@@ -14,7 +14,7 @@ Target namespaces (resolved by :mod:`repro.sweep.engine`):
 * ``figure:<name>`` — a whole figure function from
   ``repro.figures.FIGURES``;
 * ``py:<module>:<function>`` — any importable function returning a
-  JSON-serializable value (used by the benchmark drivers).
+  JSON-serializable value (the DSE campaign cells use this).
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Optional
+from typing import Any, Dict, Optional
 
-from .fingerprint import combine_fingerprints, file_digest, source_fingerprint
+from .fingerprint import source_fingerprint
 
 __all__ = ["RunSpec", "make_spec"]
 
@@ -81,24 +81,18 @@ def make_spec(
     *,
     seed: Optional[int] = None,
     fingerprint: Optional[str] = None,
-    extra_files: Iterable[str] = (),
     **kwargs: Any,
 ) -> RunSpec:
     """Build a :class:`RunSpec` with a canonicalized kwargs payload.
 
-    ``extra_files`` extends the default source fingerprint with files
-    outside the ``repro`` package that the target's behaviour depends
-    on (e.g. the benchmark module defining a ``py:`` target). Kwargs
+    The fingerprint defaults to the ``repro`` source tree's. Kwargs
     must be JSON-serializable — tuples become lists, and the target
     sees the round-tripped values, so in-process and subprocess
     execution receive identical arguments.
     """
     kwargs_json = _canonical_json(kwargs)
     if fingerprint is None:
-        fingerprint = combine_fingerprints(
-            source_fingerprint(),
-            *[file_digest(path) for path in extra_files],
-        )
+        fingerprint = source_fingerprint()
     return RunSpec(
         target=target,
         kwargs_json=kwargs_json,

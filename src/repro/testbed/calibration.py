@@ -1,25 +1,24 @@
 """Calibration constants, each tied to a sentence of the paper.
 
 All timing knobs of the simulation live here so that EXPERIMENTS.md can
-point at a single audited table. Derived quantities carry asserts that
-reproduce the paper's arithmetic.
+point at a single audited table. The paper-claims table
+(``tests/test_paper_claims.py``) reads its paper values from here and
+checks the derived quantities against the paper's arithmetic.
 """
 
 from __future__ import annotations
 
 from ..mem.address import GIB
-from ..net.link import AURORA_OVERHEAD, SERDES_CROSSING_S
+from ..net.link import SERDES_CROSSING_S
 from ..opencapi.ports import FPGA_STACK_CROSSING_S, HOST_LINK_SERDES_S
 
 __all__ = [
     "CHANNEL_RAW_GBPS",
     "CHANNEL_THEORETICAL_MAX_BYTES_S",
     "OPENCAPI_C1_128B_CEILING_BYTES_S",
-    "OPENCAPI_C1_256B_CEILING_BYTES_S",
     "PROTOTYPE_RTT_S",
     "LOCAL_DRAM_LATENCY_S",
     "LOCAL_DRAM_BANDWIDTH_BYTES_S",
-    "CLOCK_DOMAIN_HZ",
     "rtt_budget_s",
     "integrated_rtt_budget_s",
 ]
@@ -35,10 +34,6 @@ CHANNEL_THEORETICAL_MAX_BYTES_S = 12.5 * GIB
 #: maximum actual bandwidth to/from memory in the range of 16GiB/s" — §VI-C.
 OPENCAPI_C1_128B_CEILING_BYTES_S = 16 * GIB
 
-#: "the OpenCAPI C1 mode has been measured to achieve 20GiB/s by
-#: leveraging 256B memory transactions" — §VI-C (unused by POWER9 ld/st).
-OPENCAPI_C1_256B_CEILING_BYTES_S = 20 * GIB
-
 #: "The hardware datapath flit RTT latency of this prototype is roughly
 #: 950ns" — §V.
 PROTOTYPE_RTT_S = 950e-9
@@ -48,9 +43,6 @@ LOCAL_DRAM_LATENCY_S = 85e-9
 
 #: AC922 per-socket sustained DRAM bandwidth (8 DDR4 channels).
 LOCAL_DRAM_BANDWIDTH_BYTES_S = 120 * GIB
-
-#: "three mesochronous clock domains … that all run at 401Mhz" — §V.
-CLOCK_DOMAIN_HZ = 401e6
 
 
 def rtt_budget_s(cable_propagation_s: float = 15e-9) -> float:
@@ -80,12 +72,3 @@ def integrated_rtt_budget_s(cable_propagation_s: float = 15e-9) -> float:
     cables = 2 * cable_propagation_s
     return fpga_stack + network_serdes + cables
 
-
-# The decomposition must land within 5% of the measured 950 ns.
-assert abs(rtt_budget_s() - PROTOTYPE_RTT_S) / PROTOTYPE_RTT_S < 0.05, (
-    f"RTT budget {rtt_budget_s() * 1e9:.0f} ns drifted from the "
-    f"prototype's {PROTOTYPE_RTT_S * 1e9:.0f} ns"
-)
-
-# Sanity: Aurora coding cannot push payload above the raw line rate.
-assert CHANNEL_RAW_GBPS * 1e9 / 8 / AURORA_OVERHEAD < 12.5 * GIB * 1.01

@@ -124,7 +124,7 @@ class TestRackDomain:
             assert per_tenant == stats["tasks"]
 
 
-def file_digests(out_dir):
+def artifact_digests(out_dir):
     return {
         name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
         for name in ("cluster-summary.json", "cluster-journal.jsonl")
@@ -140,7 +140,7 @@ class TestGoldenDigests:
             "--tasks", "1200", "--chaos", "--out", str(tmp_path),
         ]) == 0
         capsys.readouterr()
-        assert file_digests(tmp_path) == {
+        assert artifact_digests(tmp_path) == {
             "cluster-summary.json": "7bc7114f17296513de9cd1ab2d9000322"
                                     "4950f216428332c9f4edc9d3aed315b",
             "cluster-journal.jsonl": "960d3c45c150ddb826ae616ecceb2738"
@@ -158,7 +158,7 @@ class TestGoldenDigests:
     def test_busy_replay(self, tmp_path, chaos, summary, journal):
         artifact, _ = run_cluster(ClusterConfig(chaos=chaos, **BUSY))
         write_artifacts(artifact, str(tmp_path))
-        assert file_digests(tmp_path) == {
+        assert artifact_digests(tmp_path) == {
             "cluster-summary.json": summary,
             "cluster-journal.jsonl": journal,
         }

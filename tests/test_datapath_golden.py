@@ -30,7 +30,7 @@ GOLDEN = {
         "923c50385e3defd20a88ce385b074adaac3c2cee01718609061c098137669f15"
     ),
     "lossy_copy": (
-        "2325a343e0ab1214c9538245a0d870bac863581b2dd9b8c011f0dc228a4a0124"
+        "c63b9797240661db60767e77e66f52e52b7b207521641d588183f64d06d9864a"
     ),
     "pingpong": (
         "04235abc2f308f1583dd97bc431450d952874d3b626d5938c546de7ee9a5cc84"

@@ -102,10 +102,8 @@ class TestRunSpecKeys:
         assert spec.kwargs == {"workload": "A", "partitions": [4, 16]}
 
     def test_default_fingerprint_is_source_tree(self):
-        from repro.sweep.fingerprint import combine_fingerprints
-
-        spec = make_spec("slice:rtt.rows", samples=1)
-        assert spec.fingerprint == combine_fingerprints(source_fingerprint())
+        spec = make_spec("slice:rtt.loads", samples=1)
+        assert spec.fingerprint == source_fingerprint()
         assert len(spec.fingerprint) == 64
 
     def test_explicit_fingerprint_untouched(self):
@@ -118,15 +116,15 @@ class TestRunSpecKeys:
 class TestResultCache:
     def test_fingerprint_mismatch_is_a_miss(self, cache_dir):
         cache = ResultCache(cache_dir)
-        old = make_spec("slice:rtt.rows", fingerprint="old-code", samples=1)
+        old = make_spec("slice:rtt.loads", fingerprint="old-code", samples=1)
         cache.put(old, [["row"]], elapsed_s=0.1)
         assert cache.get(old)["result"] == [["row"]]
-        new = make_spec("slice:rtt.rows", fingerprint="new-code", samples=1)
+        new = make_spec("slice:rtt.loads", fingerprint="new-code", samples=1)
         assert cache.get(new) is None
 
     def test_corrupt_entry_is_a_miss(self, cache_dir):
         cache = ResultCache(cache_dir)
-        spec = make_spec("slice:rtt.rows", fingerprint="f", samples=1)
+        spec = make_spec("slice:rtt.loads", fingerprint="f", samples=1)
         cache.put(spec, {"ok": True}, elapsed_s=0.0)
         with open(os.path.join(cache_dir, f"{spec.key}.json"), "w") as fh:
             fh.write("{not json")
@@ -134,16 +132,16 @@ class TestResultCache:
 
     def test_prune_removes_stale_entries(self, cache_dir):
         cache = ResultCache(cache_dir)
-        cache.put(make_spec("slice:rtt.rows", fingerprint="old", samples=1),
+        cache.put(make_spec("slice:rtt.loads", fingerprint="old", samples=1),
                   1, 0.0)
-        keep = make_spec("slice:rtt.rows", fingerprint="new", samples=1)
+        keep = make_spec("slice:rtt.loads", fingerprint="new", samples=1)
         cache.put(keep, 2, 0.0)
         assert cache.prune("new") == 1
         assert cache.entries() == [keep.key]
 
     def test_entry_file_is_content_addressed_json(self, cache_dir):
         cache = ResultCache(cache_dir)
-        spec = make_spec("slice:rtt.rows", fingerprint="f", samples=3)
+        spec = make_spec("slice:rtt.loads", fingerprint="f", samples=3)
         path = cache.put(spec, [[1, 2]], elapsed_s=0.5)
         assert os.path.basename(path) == f"{spec.key}.json"
         with open(path) as fh:
@@ -221,27 +219,6 @@ class TestEngineBasics:
 
 class TestSharedBootstrap:
     """The worker-bootstrap helpers the sweep pool and its callers share."""
-
-    def test_resolve_jobs_explicit_wins_over_env(self, monkeypatch):
-        from repro.sweep import resolve_jobs
-
-        monkeypatch.setenv("SWEEP_JOBS", "7")
-        assert resolve_jobs(3) == 3
-        assert resolve_jobs("2") == 2
-
-    def test_resolve_jobs_falls_back_to_env_then_one(self, monkeypatch):
-        from repro.sweep import resolve_jobs
-
-        monkeypatch.setenv("SWEEP_JOBS", "5")
-        assert resolve_jobs(None) == 5
-        monkeypatch.delenv("SWEEP_JOBS")
-        assert resolve_jobs(None) == 1
-
-    def test_resolve_jobs_auto_uses_cpu_count(self, monkeypatch):
-        from repro.sweep import resolve_jobs
-
-        monkeypatch.setenv("SWEEP_JOBS", "auto")
-        assert resolve_jobs(None) >= 1
 
     def test_engine_reexports_normalize_jobs(self):
         from repro.sweep import bootstrap, engine
