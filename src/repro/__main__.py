@@ -1210,7 +1210,7 @@ COMMANDS = (
         _metrics_arguments,
         description="Run one workload with the full telemetry pipeline "
                     "enabled (metrics registry + structured event log + "
-                    "sim-time profiler) and print the registry in Prometheus "
+                    "host-time profiler) and print the registry in Prometheus "
                     "text exposition format. Writes the exposition, the "
                     "JSON-lines event journal and a flame-graph "
                     "folded-stacks profile; --slo evaluates declarative "

@@ -22,8 +22,8 @@ The cooperating pieces (see ``docs/observability.md``):
   (JSON-lines) of control/resilience/endpoint happenings, with
   sim-time and correlation ids linking events to trace spans.
 * :mod:`repro.obs.profiler` — a sampling profiler over the
-  discrete-event kernel attributing sim-time and host-time to
-  component/phase, exported as folded stacks for flame graphs.
+  discrete-event kernel attributing host time to component/phase,
+  exported as folded stacks for flame graphs.
 * :mod:`repro.obs.slo` — declarative service-level objectives
   evaluated against the registry, with breach events and a CI exit
   mode.

@@ -1,12 +1,14 @@
 """Sampling profiler for the discrete-event kernel.
 
-Answers *which component is the simulation spending its time in* —
-both sim-time (who owns the event timeline: link pump, DRAM bank
-service, LLC, RMMU) and host-time (who is expensive to execute). The
-kernel's dispatch loop samples every ``stride``-th event: the profiler
-attributes the sim-time and host wall-clock elapsed since the previous
-sample to the component that owned the sampled event, classified into
-a coarse phase by its name.
+Answers *which component is the simulation spending its host time in*
+(who is expensive to execute: link pump, DRAM bank service, LLC,
+RMMU). The kernel's dispatch loop samples every ``stride``-th event:
+the profiler stamps the host clock when that event is dispatched and
+closes the measurement when the next event is, so it times the sampled
+event's own dispatch and charges it, scaled by the stride, to the
+component that owned the event, classified into a coarse phase by its
+name. A measurement still open when the dispatch loop exits is
+discarded.
 
 Sampling keeps overhead bounded and stride-proportional: between
 samples the only per-event cost in the hot loop is one local integer
@@ -105,63 +107,70 @@ def _component(target: Any) -> Tuple[str, str]:
 
 
 class SimProfiler:
-    """Accumulates per-(phase, component) sim-time and host-time.
+    """Accumulates per-(phase, component) sampled host time.
 
     ``stride`` is the sampling period in kernel events. The kernel
     calls :meth:`begin_run` when its dispatch loop starts and
-    :meth:`sample` every ``stride``-th event; everything else here is
-    reporting.
+    :meth:`sample` at the events its countdown selects; everything
+    else here is reporting.
     """
 
     def __init__(self, stride: int = 1024):
         if stride < 1:
             raise ValueError("profiler stride must be >= 1")
         self.stride = stride
-        # (phase, component) -> [samples, sim_s, host_s]
+        # (phase, component) -> [samples, host_s]
         self._stats: Dict[Tuple[str, str], List[float]] = {}
         self.samples_taken = 0
         self.runs = 0
-        self._last_sim = 0.0
-        self._last_host = 0.0
+        # The sampled event being timed: its key and dispatch stamp.
+        self._open: Optional[Tuple[str, str]] = None
+        self._opened_at = 0.0
 
-    def begin_run(self, now: float) -> None:
-        """Reset the inter-sample markers at dispatch-loop entry."""
+    def begin_run(self) -> None:
+        """Discard a measurement the previous dispatch loop left open."""
         self.runs += 1
-        self._last_sim = now
-        self._last_host = _time.perf_counter()
+        self._open = None
 
-    def sample(self, now: float, target: Any) -> None:
-        """Attribute time since the last sample to ``target``."""
+    def sample(self, target: Any) -> int:
+        """Close the open measurement, open one on ``target`` when this
+        event is a sampling point; return the kernel's next countdown.
+
+        The kernel calls this at every ``stride``-th event (the event
+        about to dispatch ``target``) and at the event right after it,
+        whose dispatch closes the sampled one's measurement.
+        """
         host = _time.perf_counter()
+        key = self._open
+        if key is not None:
+            stat = self._stats.get(key)
+            if stat is None:
+                self._stats[key] = stat = [0, 0.0]
+            stat[0] += 1
+            stat[1] += (host - self._opened_at) * self.stride
+            self.samples_taken += 1
+            self._open = None
+            if self.stride > 1:
+                return self.stride - 1
         # Resolve the name fresh every sample. Dispatch targets are
         # often short-lived bound methods, so memoizing by ``id()``
         # would mis-attribute samples once the allocator reuses an
         # address; sampling is strided, so the getattr chain is cheap
-        # in aggregate.
-        key = _component(target)
-        stat = self._stats.get(key)
-        if stat is None:
-            self._stats[key] = stat = [0, 0.0, 0.0]
-        stat[0] += 1
-        stat[1] += now - self._last_sim
-        stat[2] += host - self._last_host
-        self.samples_taken += 1
-        self._last_sim = now
-        self._last_host = host
+        # in aggregate. Stamp after it, so it is not charged.
+        self._open = _component(target)
+        self._opened_at = _time.perf_counter()
+        return 1
 
     # -- reporting ----------------------------------------------------------------
 
-    def stats(self) -> Dict[Tuple[str, str], Tuple[int, float, float]]:
-        return {
-            key: (int(v[0]), v[1], v[2]) for key, v in self._stats.items()
-        }
+    def stats(self) -> Dict[Tuple[str, str], Tuple[int, float]]:
+        """``(phase, component) -> (samples, host_s)``."""
+        return {key: (int(v[0]), v[1]) for key, v in self._stats.items()}
 
     def folded(self) -> str:
         """Flame-graph folded-stacks text: ``sim;phase;name count``."""
         lines = []
-        for (phase, name), (samples, _sim, _host) in sorted(
-            self._stats.items()
-        ):
+        for (phase, name), (samples, _host) in sorted(self._stats.items()):
             frame = name.replace(";", "_").replace(" ", "_")
             lines.append(f"sim;{phase};{frame} {int(samples)}")
         return "\n".join(lines) + ("\n" if lines else "")
@@ -171,36 +180,31 @@ class SimProfiler:
             fh.write(self.folded())
 
     def top_table(self, n: int = 10) -> RunSummary:
-        """Top-N components by attributed sim-time as a RunSummary."""
-        summary = RunSummary("sim-time profile")
-        total_sim = sum(v[1] for v in self._stats.values())
-        total_host = sum(v[2] for v in self._stats.values())
+        """Top-N components by sampled host time as a RunSummary."""
+        summary = RunSummary("host-time profile")
+        total_host = sum(v[1] for v in self._stats.values())
         summary.section("totals")
         summary.row("samples", self.samples_taken)
         summary.row("stride", self.stride, "events")
-        summary.row("sim time attributed", total_sim, "s")
         summary.row("host time attributed", total_host, "s")
         ranked = sorted(
             self._stats.items(), key=lambda item: item[1][1], reverse=True
         )
-        summary.section(f"top {min(n, len(ranked))} by sim-time")
-        for (phase, name), (samples, sim_s, host_s) in ranked[:n]:
-            share = (100.0 * sim_s / total_sim) if total_sim > 0 else 0.0
+        summary.section(f"top {min(n, len(ranked))} by host time")
+        for (phase, name), (samples, host_s) in ranked[:n]:
+            share = (100.0 * host_s / total_host) if total_host > 0 else 0.0
             summary.row(
                 f"{phase}:{name}",
-                f"{sim_s:.3e} s sim ({share:.1f}%), "
-                f"{host_s:.3e} s host, {int(samples)} samples",
+                f"{host_s:.3e} s host ({share:.1f}%), "
+                f"{int(samples)} samples",
             )
         return summary
 
     def describe(self) -> Dict[str, Any]:
         by_phase: Dict[str, Dict[str, Any]] = {}
-        for (phase, name), (samples, sim_s, host_s) in self._stats.items():
-            bucket = by_phase.setdefault(
-                phase, {"samples": 0, "sim_s": 0.0, "host_s": 0.0}
-            )
+        for (phase, name), (samples, host_s) in self._stats.items():
+            bucket = by_phase.setdefault(phase, {"samples": 0, "host_s": 0.0})
             bucket["samples"] += int(samples)
-            bucket["sim_s"] += sim_s
             bucket["host_s"] += host_s
         return {
             "stride": self.stride,

@@ -513,13 +513,13 @@ class Simulator:
         # profiler is the one exception, and it reduces to a single
         # local-int truthiness check per event while disabled and a
         # countdown decrement while enabled; the expensive work happens
-        # only once per `stride` events inside profiler.sample().
+        # inside profiler.sample(), at two events per `stride`: the
+        # sampled one and the next, which closes its measurement.
         trace_start = self._now if _obs_trace.ENABLED else None
         profiler = _obs_profiler._PROFILER if _obs_profiler.ENABLED else None
         if profiler is not None:
-            prof_stride = profiler.stride
-            prof_left = prof_stride
-            profiler.begin_run(self._now)
+            prof_left = profiler.stride
+            profiler.begin_run()
         else:
             prof_left = 0
         events_before = self.event_count
@@ -565,8 +565,7 @@ class Simulator:
                     if prof_left:
                         prof_left -= 1
                         if not prof_left:
-                            prof_left = prof_stride
-                            profiler.sample(time, target)
+                            prof_left = profiler.sample(target)
                     if target.__class__ is Process:
                         if target.alive:
                             if target._pending_interrupt is None:

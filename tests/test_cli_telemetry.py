@@ -53,7 +53,7 @@ class TestMetricsSubcommand:
         )
         # Exposition and profiler table reach stdout too.
         assert "# TYPE" in out
-        assert "sim-time profile" in out
+        assert "host-time profile" in out
         assert "strict parse OK" in out
 
     def test_holding_slo_exits_zero(self, tmp_path):

@@ -1,7 +1,5 @@
 """Tests for the Fig. 1 motivation study (trace, models, replay)."""
 
-import hashlib
-import json
 import math
 
 import pytest
@@ -213,28 +211,6 @@ class TestFig1Experiment:
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
             replay_trace(FixedDatacentre(4), [])
-
-    def test_golden_utilization_digest(self):
-        """Best-fit placement in both models, pinned by sha256 of the
-        four utilization numbers per model at 40 units."""
-        from repro.cluster import scaled_trace_config
-
-        reports = run_fig1_experiment(scaled_trace_config(units=40), units=40)
-        values = {
-            name: [
-                report.cpu_fragmentation_pct,
-                report.memory_fragmentation_pct,
-                report.compute_off_pct,
-                report.memory_off_pct,
-            ]
-            for name, report in reports.items()
-        }
-        digest = hashlib.sha256(
-            json.dumps(values, sort_keys=True).encode()
-        ).hexdigest()
-        assert digest == (
-            "0f8c0ad4ab7bb4c9bb253c55044b144a12d3691753ca4c5f2b2761d0a3cb8238"
-        )
 
 
 class TestDownsampleTrace:

@@ -1,15 +1,13 @@
 """Multi-rack trace replay (``repro.cluster.topology``/``replay``).
 
-The acceptance gate for the rack-domain simulator: for a fixed config
-and seed, the written artifacts match **golden sha256 digests** —
-across a plain multi-rack scenario and the chaos (lender crash)
-scenario — and the merged journal passes the JSON-lines validator.
-Configs here are tuned so every placement class and message kind
-actually occurs (grants AND denials, disruption under chaos), so the
-digests pin the full behavior space, not just the quiet paths.
+Config validation, the rack pool's best-fit placement, one rack domain
+on its own, and checks on the BUSY replay: it must cover every
+placement class and message kind (grants AND denials, disruption under
+chaos), its merged journal must be valid and in order, and its seed
+must matter. The golden manifest (``test_golden.py``) pins the bytes of
+the BUSY replay's artifacts and of the CLI's 4-rack chaos replay.
 """
 
-import hashlib
 import json
 
 import pytest
@@ -23,7 +21,6 @@ from repro.cluster import (
     run_cluster,
     write_artifacts,
 )
-from repro.__main__ import main
 from repro.cluster import topology
 from repro.mem import MIB
 from repro.obs import MetricsRegistry, validate_event_jsonl
@@ -124,53 +121,13 @@ class TestRackDomain:
             assert per_tenant == stats["tasks"]
 
 
-def artifact_digests(out_dir):
-    return {
-        name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
-        for name in ("cluster-summary.json", "cluster-journal.jsonl")
-    }
-
-
-class TestGoldenDigests:
-    """The written artifacts of fixed configs, pinned by sha256."""
-
-    def test_cli_chaos_replay(self, tmp_path, capsys):
-        assert main([
-            "cluster", "--racks", "4", "--machines", "32",
-            "--tasks", "1200", "--chaos", "--out", str(tmp_path),
-        ]) == 0
-        capsys.readouterr()
-        assert artifact_digests(tmp_path) == {
-            "cluster-summary.json": "7bc7114f17296513de9cd1ab2d9000322"
-                                    "4950f216428332c9f4edc9d3aed315b",
-            "cluster-journal.jsonl": "960d3c45c150ddb826ae616ecceb2738"
-                                     "5f1fb8a7a39a289ebdff261006a1a36e",
-        }
-
-    @pytest.mark.parametrize("chaos,summary,journal", [
-        (False,
-         "b9a58aad971c8a451e88e97f606a8fcc3f78ce25e24f94f5a0ea1d451742b864",
-         "0ee42c27bb2eb8f1ec136e72c2b94dac40f323dcb254135826128e95d1d78db1"),
-        (True,
-         "95f2ea8cbb312259e806c71de5f97959dfa0f2d82c59b0771e628a7086dd6019",
-         "e7417cf95e81adcb211950e1e2bbfc8ed024e1b76dbcc13bd5341ab5cd7f50d2"),
-    ], ids=["plain", "chaos"])
-    def test_busy_replay(self, tmp_path, chaos, summary, journal):
-        artifact, _ = run_cluster(ClusterConfig(chaos=chaos, **BUSY))
-        write_artifacts(artifact, str(tmp_path))
-        assert artifact_digests(tmp_path) == {
-            "cluster-summary.json": summary,
-            "cluster-journal.jsonl": journal,
-        }
-
-
-class TestDifferentialSerialVsParallel:
+class TestBusyReplay:
     """Coverage, journal and seed checks on the BUSY replay."""
 
     def test_behavior_space_is_actually_covered(self):
         """Guard the tuning: the BUSY run must exercise every class and
-        both grant and deny paths, or its golden digests pin less than
-        they claim."""
+        both grant and deny paths, or its golden digests (producer
+        ``busy_replay`` in the manifest) pin less than they claim."""
         plain, _ = run_cluster(ClusterConfig(**BUSY))
         counters = plain["summary"]["counters"]
         assert plain["summary"]["classes"]["local"] > 0

@@ -3,7 +3,8 @@
 Seeded Bernoulli faults only sample the schedule space. A 2 KiB copy
 sends few enough frames over the node0→node1 wire that every schedule
 with one fault can be tried: one drop or one corruption at each frame
-traversal index, on each channel the copy uses.
+traversal index, on each channel the copy uses. ``llc_fault_pairs.py``
+runs every ordered pair of faults the same way, outside tier-1.
 
 The enumeration is exhaustive. A fault at index ``i`` leaves traversals
 ``0..i-1`` as they were in the clean run. So any index at or past the
@@ -28,23 +29,27 @@ from repro.testbed import RemoteBuffer, Testbed
 
 COPY_BYTES = 2048
 DATA = bytes(range(256)) * (COPY_BYTES // 256)
+KINDS = ("drop", "corrupt")
 
 
 class FaultAtIndex(FaultInjector):
-    """Faults exactly one traversal: the one numbered ``index``."""
+    """Faults the traversals a plan numbers: ``{index: kind}``."""
 
-    def __init__(self, index=-1, kind="drop"):
+    def __init__(self, plan=None):
         super().__init__()
-        self.index = index
-        self.kind = kind
+        self.plan = dict(plan or {})
 
     def decide(self):
-        if self.frames_seen == self.index:
-            if self.kind == "drop":
-                self.force_drop_next()
-            else:
-                self.force_corrupt_next()
+        kind = self.plan.get(self.frames_seen)
+        if kind == "drop":
+            self.force_drop_next()
+        elif kind == "corrupt":
+            self.force_corrupt_next()
         return super().decide()
+
+
+def channels(bonded):
+    return (0, 1) if bonded else (0,)
 
 
 def _copy(bonded, injectors):
@@ -63,48 +68,61 @@ def _copy(bonded, injectors):
     return testbed, back
 
 
-def _schedules(bonded):
+def run_schedule(bonded, plans):
+    """Copy with ``{channel: plan}`` faults; assert every fault landed.
+
+    Returns each channel's injector (its ``frames_seen`` counts that
+    channel's traversals) and, if the LLCs are not whole afterwards,
+    their state; ``None`` when they are.
+    """
+    injectors = {
+        channel: FaultAtIndex(plans.get(channel)) for channel in channels(bonded)
+    }
+    testbed, back = _copy(bonded, injectors)
+    landed = sum(injector.fault_count for injector in injectors.values())
+    assert landed == sum(len(plan) for plan in plans.values()), plans
+    llcs = [
+        llc
+        for node in (testbed.node0, testbed.node1)
+        for llc in node.device.llcs
+    ]
+    whole = (
+        back == DATA
+        and all(
+            llc.credits_available == llc.config.rx_queue_slots
+            for llc in llcs
+        )
+        and not any(llc.retention_depth for llc in llcs)
+    )
+    if whole:
+        return injectors, None
+    return injectors, {
+        "bytes_ok": back == DATA,
+        "credits": [llc.credits_available for llc in llcs],
+        "retained": [llc.retention_depth for llc in llcs],
+    }
+
+
+def single_faults(bonded):
     """``(channel, index, kind)`` for every single fault of the copy."""
-    channels = (0, 1) if bonded else (0,)
-    clean = {channel: FaultAtIndex() for channel in channels}
-    _copy(bonded, clean)
+    clean, _ = run_schedule(bonded, {})
     return [
         (channel, index, kind)
-        for channel in channels
+        for channel in channels(bonded)
         for index in range(clean[channel].frames_seen)
-        for kind in ("drop", "corrupt")
+        for kind in KINDS
     ]
 
 
 @pytest.mark.parametrize("bonded", [False, True], ids=["unbonded", "bonded"])
 def test_every_single_fault_leaves_the_llc_whole(bonded):
-    schedules = _schedules(bonded)
+    schedules = single_faults(bonded)
     assert schedules
     failures = []
     for channel, index, kind in schedules:
-        injector = FaultAtIndex(index, kind)
-        testbed, back = _copy(bonded, {channel: injector})
-        assert injector.fault_count == 1, (channel, index, kind)
-        llcs = [
-            llc
-            for node in (testbed.node0, testbed.node1)
-            for llc in node.device.llcs
-        ]
-        state = {
-            "bytes_ok": back == DATA,
-            "credits": [llc.credits_available for llc in llcs],
-            "retained": [llc.retention_depth for llc in llcs],
-        }
-        whole = (
-            state["bytes_ok"]
-            and all(
-                llc.credits_available == llc.config.rx_queue_slots
-                for llc in llcs
-            )
-            and not any(state["retained"])
-        )
-        if not whole:
-            failures.append(((channel, index, kind), state))
+        _, broken = run_schedule(bonded, {channel: {index: kind}})
+        if broken:
+            failures.append(((channel, index, kind), broken))
     assert not failures, (
         f"{len(failures)} of {len(schedules)} schedules: {failures}"
     )

@@ -7,9 +7,10 @@ failure reports which claim drifted, by how much, against what.
 
 Figure rows read the numbers :func:`repro.figures.figure_numbers`
 computes (the same code behind ``python -m repro figN``); the ablation
-rows read the flit-level measurements in ``ablations.py``. Every
-measurement runs at most once per session, serially, and writes its
-payload to ``benchmarks/results/<name>.json``.
+rows read the flit-level measurements in ``ablations.py``. The
+session ``results`` fixture (``conftest.py``) runs every measurement at
+most once, serially, and writes its payload to
+``benchmarks/results/<name>.json``.
 
 Paper values come from ``repro.testbed.calibration`` and
 ``repro.figures`` wherever a constant exists. Claims of order ("A beats
@@ -20,16 +21,14 @@ margin.
 
 from __future__ import annotations
 
-import json
 import operator
-import os
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Mapping, Optional
 
 import pytest
 
 import ablations
-from repro.figures import FIG1_PAPER, FIG8_PAPER_MEAN_US, figure_numbers
+from repro.figures import FIG1_PAPER, FIG8_PAPER_MEAN_US
 from repro.mem import GIB
 from repro.net.link import AURORA_OVERHEAD
 from repro.testbed import NodeSpec
@@ -40,58 +39,7 @@ from repro.testbed.calibration import (
     integrated_rtt_budget_s,
     rtt_budget_s,
 )
-from repro.workloads import EtcGenerator, StreamKernel
-
-RESULTS_DIR = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "benchmarks", "results",
-)
-
-#: Fig. 8's claims sample more GETs than ``python -m repro fig8``.
-FIG8_SAMPLES = 50_000
-
-
-def etc_hit_ratio() -> float:
-    """The §VI-E setup's steady GET hit ratio (cache-friendliness)."""
-    return EtcGenerator().expected_hit_ratio(
-        model_keys=50_000, model_requests=200_000
-    )
-
-
-#: Artifact name -> measurement returning its JSON payload.
-MEASUREMENTS: Dict[str, Callable[[], Any]] = {
-    "fig1": lambda: figure_numbers("fig1"),
-    "rtt": lambda: figure_numbers("rtt"),
-    "fig5": lambda: figure_numbers("fig5"),
-    "fig6": lambda: figure_numbers("fig6"),
-    "fig7": lambda: figure_numbers("fig7"),
-    "fig8": lambda: {
-        **figure_numbers("fig8", samples=FIG8_SAMPLES),
-        "hit_ratio": etc_hit_ratio(),
-    },
-    "fig9": lambda: figure_numbers("fig9"),
-    "ablation_frame_size": ablations.frame_size,
-    "ablation_credit_depth": ablations.credit_depth,
-    "ablation_loss": ablations.loss,
-    "ablation_bonding": ablations.bonding,
-    "ablation_hbm": ablations.hbm,
-    "ablation_integrated_soc": ablations.integrated_soc,
-    "ablation_fabric": ablations.fabric,
-    "ablation_numa": ablations.numa,
-    "ablation_qos": ablations.qos,
-    "ablation_packet_fanin": ablations.packet_fanin,
-}
-
-
-class Results(dict):
-    """Measurements by artifact name, each run and saved on first use."""
-
-    def __missing__(self, name: str) -> Any:
-        payload = self[name] = MEASUREMENTS[name]()
-        os.makedirs(RESULTS_DIR, exist_ok=True)
-        with open(os.path.join(RESULTS_DIR, f"{name}.json"), "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-        return payload
+from repro.workloads import StreamKernel
 
 
 # -- tolerances ---------------------------------------------------------------
@@ -153,7 +101,7 @@ class Claim:
     source: str
     paper: Any
     tolerance: Any
-    measure: Callable[[Results], Any]
+    measure: Callable[[Mapping[str, Any]], Any]
 
 
 # -- accessors ----------------------------------------------------------------
@@ -525,11 +473,6 @@ CLAIMS = [
           lambda r: r["ablation_numa"]["after_ns"]
           / r["ablation_numa"]["before_ns"]),
 ]
-
-
-@pytest.fixture(scope="session")
-def results() -> Results:
-    return Results()
 
 
 def test_claim_ids_are_unique():
