@@ -16,8 +16,8 @@ Both use an online best-fit allocator without overcommitment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -36,11 +36,21 @@ class AllocationFailure(RuntimeError):
     """The model could not place a task (capacity or connectivity)."""
 
 
+#: The four Fig. 1 percentages: stranded CPU, stranded memory, CPU units
+#: off and memory units off.
+Utilization = Tuple[float, float, float, float]
+
+
 def best_fit(feasible: np.ndarray, slack: np.ndarray) -> Optional[int]:
-    """The feasible index with the least slack (lowest on ties), or None."""
-    if not feasible.any():
+    """The feasible index with the least (finite) slack, lowest on ties,
+    or None when no index is feasible."""
+    masked = np.where(feasible, slack, np.inf)
+    if not masked.size:
         return None
-    return int(np.argmin(np.where(feasible, slack, np.inf)))
+    index = masked.argmin()
+    if masked[index] == np.inf:
+        return None
+    return int(index)
 
 
 @dataclass
@@ -62,6 +72,7 @@ class FixedDatacentre:
         self.cpu_free = np.ones(servers)
         self.mem_free = np.ones(servers)
         self.tasks_on = np.zeros(servers, dtype=np.int64)
+        self._servers_off = servers  # kept equal to (tasks_on == 0).sum()
 
     # -- best-fit placement -----------------------------------------------------------
     def allocate(self, task: TaskRequest) -> Placement:
@@ -77,6 +88,8 @@ class FixedDatacentre:
         self.cpu_free[best_index] -= task.cpu
         self.mem_free[best_index] -= task.memory
         self.tasks_on[best_index] += 1
+        if self.tasks_on[best_index] == 1:
+            self._servers_off -= 1
         return Placement(task, best_index, [(best_index, task.memory)])
 
     def release(self, placement: Placement) -> None:
@@ -84,14 +97,13 @@ class FixedDatacentre:
         self.cpu_free[index] += placement.task.cpu
         self.mem_free[index] += placement.task.memory
         self.tasks_on[index] -= 1
+        if self.tasks_on[index] == 0:
+            self._servers_off += 1
 
     # -- metrics inputs -----------------------------------------------------------------
-    def powered_on(self) -> np.ndarray:
-        return self.tasks_on > 0
-
     def servers_off(self) -> int:
         """Completely unused servers (could be switched off)."""
-        return int((self.tasks_on == 0).sum())
+        return self._servers_off
 
     def stranded_cpu(self) -> float:
         """CPU capacity locked inside powered-on servers but unused."""
@@ -102,13 +114,12 @@ class FixedDatacentre:
         on = self.tasks_on > 0
         return float(self.mem_free[on].sum())
 
-    @property
-    def total_cpu(self) -> float:
-        return float(self.servers)
-
-    @property
-    def total_memory(self) -> float:
-        return float(self.servers)
+    def utilization(self) -> Utilization:
+        """Fig. 1's four percentages; a server is both CPU and memory."""
+        servers = self.servers
+        off = self._servers_off / servers * 100.0
+        return (self.stranded_cpu() / servers * 100.0,
+                self.stranded_memory() / servers * 100.0, off, off)
 
 
 class DisaggregatedDatacentre:
@@ -127,6 +138,10 @@ class DisaggregatedDatacentre:
         self.mem_free = np.ones(memory_modules)
         self.compute_tasks = np.zeros(compute_modules, dtype=np.int64)
         self.memory_users = np.zeros(memory_modules, dtype=np.int64)
+        # Kept equal to (compute_tasks == 0).sum() and
+        # (memory_users == 0).sum().
+        self._compute_off = compute_modules
+        self._memory_off = memory_modules
         self.compute_links_free = np.full(compute_modules, links_per_module,
                                           dtype=np.int64)
         self.memory_links_free = np.full(memory_modules, links_per_module,
@@ -138,9 +153,13 @@ class DisaggregatedDatacentre:
         shares = self._place_memory(task, compute)
         self.cpu_free[compute] -= task.cpu
         self.compute_tasks[compute] += 1
+        if self.compute_tasks[compute] == 1:
+            self._compute_off -= 1
         for unit, amount in shares:
             self.mem_free[unit] -= amount
             self.memory_users[unit] += 1
+            if self.memory_users[unit] == 1:
+                self._memory_off -= 1
             self.memory_links_free[unit] -= 1
             self.compute_links_free[compute] -= 1
         return Placement(task, compute, shares)
@@ -149,9 +168,13 @@ class DisaggregatedDatacentre:
         compute = placement.compute_unit
         self.cpu_free[compute] += placement.task.cpu
         self.compute_tasks[compute] -= 1
+        if self.compute_tasks[compute] == 0:
+            self._compute_off += 1
         for unit, amount in placement.memory_shares:
             self.mem_free[unit] += amount
             self.memory_users[unit] -= 1
+            if self.memory_users[unit] == 0:
+                self._memory_off += 1
             self.memory_links_free[unit] += 1
             self.compute_links_free[compute] += 1
 
@@ -206,15 +229,15 @@ class DisaggregatedDatacentre:
         return float(self.mem_free[on].sum())
 
     def compute_off(self) -> int:
-        return int((self.compute_tasks == 0).sum())
+        return self._compute_off
 
     def memory_off(self) -> int:
-        return int((self.memory_users == 0).sum())
+        return self._memory_off
 
-    @property
-    def total_cpu(self) -> float:
-        return float(self.compute_modules)
-
-    @property
-    def total_memory(self) -> float:
-        return float(self.memory_modules)
+    def utilization(self) -> Utilization:
+        """Fig. 1's four percentages over the compute and memory pools."""
+        compute, memory = self.compute_modules, self.memory_modules
+        return (self.stranded_cpu() / compute * 100.0,
+                self.stranded_memory() / memory * 100.0,
+                self._compute_off / compute * 100.0,
+                self._memory_off / memory * 100.0)

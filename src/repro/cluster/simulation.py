@@ -9,8 +9,8 @@ and power-off metrics are sampled time-weighted over the replay.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Deque, Dict, List, Optional, Union
 
 from ..sim.stats import TimeWeightedValue
 from .models import (
@@ -36,6 +36,8 @@ class UtilizationReport:
     memory_fragmentation_pct: float
     compute_off_pct: float
     memory_off_pct: float
+    #: Tasks still resident when the replay stops after the last SUBMIT
+    #: (not a count of all placements made).
     placed_tasks: int
     deferred_placements: int
     peak_pending: int
@@ -50,19 +52,6 @@ class UtilizationReport:
         }
 
 
-def _off_counts(datacentre: Datacentre) -> Tuple[float, float]:
-    if isinstance(datacentre, FixedDatacentre):
-        off = datacentre.servers_off()
-        return off, off
-    return datacentre.compute_off(), datacentre.memory_off()
-
-
-def _unit_counts(datacentre: Datacentre) -> Tuple[float, float]:
-    if isinstance(datacentre, FixedDatacentre):
-        return datacentre.servers, datacentre.servers
-    return datacentre.compute_modules, datacentre.memory_modules
-
-
 def replay_trace(
     datacentre: Datacentre,
     events: List[TraceEvent],
@@ -73,6 +62,10 @@ def replay_trace(
     The first ``warmup_fraction`` of simulated time is excluded from the
     averages (the datacentre starts empty; the paper reports steady
     state).
+
+    The metrics are sampled once per event, after it is applied: nothing
+    changes between one event's sample and the next event, so the value
+    each meter holds over that interval is exact.
     """
     if not events:
         raise ValueError("empty trace")
@@ -88,18 +81,9 @@ def replay_trace(
     deferred = 0
     peak_pending = 0
 
-    frag_cpu = TimeWeightedValue(start)
-    frag_mem = TimeWeightedValue(start)
-    off_cpu = TimeWeightedValue(start)
-    off_mem = TimeWeightedValue(start)
-    cpu_units, mem_units = _unit_counts(datacentre)
-
-    def sample(now: float) -> None:
-        frag_cpu.update(now, datacentre.stranded_cpu() / cpu_units * 100.0)
-        frag_mem.update(now, datacentre.stranded_memory() / mem_units * 100.0)
-        off_c, off_m = _off_counts(datacentre)
-        off_cpu.update(now, off_c / cpu_units * 100.0)
-        off_mem.update(now, off_m / mem_units * 100.0)
+    # Stranded CPU, stranded memory, CPU off, memory off: in the order
+    # of ``datacentre.utilization()``.
+    meters = [TimeWeightedValue(start) for _ in range(4)]
 
     def try_pending(now: float) -> None:
         """Strict-FIFO retry: the queue head either fits or keeps waiting."""
@@ -118,17 +102,15 @@ def replay_trace(
                 break
 
     warmed_up = False
-    finished = False
     for event in events:
         if event.time > end:
-            finished = True
             break
         if not warmed_up and event.time >= measure_from:
             # Steady state reached: discard the fill-up transient.
-            for meter in (frag_cpu, frag_mem, off_cpu, off_mem):
+            # ``reset`` keeps each meter's current value.
+            for meter in meters:
                 meter.reset(event.time)
             warmed_up = True
-        sample(event.time)
         if event.kind is EventKind.SUBMIT:
             try:
                 placements[event.task.task_id] = datacentre.allocate(event.task)
@@ -144,15 +126,18 @@ def replay_trace(
             else:
                 datacentre.release(placement)
                 try_pending(event.time)
-        sample(event.time)
+        for meter, value in zip(meters, datacentre.utilization()):
+            meter.update(event.time, value)
 
-    model_name = type(datacentre).__name__
+    frag_cpu, frag_mem, off_cpu, off_mem = (
+        meter.time_average(end) for meter in meters
+    )
     return UtilizationReport(
-        model=model_name,
-        cpu_fragmentation_pct=frag_cpu.time_average(end),
-        memory_fragmentation_pct=frag_mem.time_average(end),
-        compute_off_pct=off_cpu.time_average(end),
-        memory_off_pct=off_mem.time_average(end),
+        model=type(datacentre).__name__,
+        cpu_fragmentation_pct=frag_cpu,
+        memory_fragmentation_pct=frag_mem,
+        compute_off_pct=off_cpu,
+        memory_off_pct=off_mem,
         placed_tasks=len(placements),
         deferred_placements=deferred,
         peak_pending=peak_pending,

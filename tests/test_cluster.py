@@ -2,8 +2,9 @@
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import (
@@ -16,11 +17,85 @@ from repro.cluster import (
     run_fig1_experiment,
     synthesize_trace,
 )
+from repro.cluster.models import best_fit
 from repro.cluster.trace import EventKind, TaskRequest
 
 
 def task(task_id=0, cpu=0.1, memory=0.1):
     return TaskRequest(task_id, cpu, memory, submit_time=0.0, duration=1.0)
+
+
+#: Allocations interleaved with releases (of the placement at index
+#: ``n % len(placements)``), for the churn properties below. Repeated
+#: large memory requests leave every module partly full, so later ones
+#: have to split across modules.
+CHURN = st.lists(
+    st.one_of(
+        st.tuples(st.just("allocate"),
+                  st.floats(min_value=0.01, max_value=0.6),
+                  st.one_of(st.sampled_from([0.4, 0.7]),
+                            st.floats(min_value=0.01, max_value=0.9))),
+        st.tuples(st.just("release"), st.integers(min_value=0)),
+    ),
+    min_size=10,
+    max_size=40,
+)
+
+
+def churn(datacentre, steps, check):
+    """Apply ``steps`` to ``datacentre``, calling ``check`` after each."""
+    placements = []
+    for index, step in enumerate(steps):
+        if step[0] == "allocate":
+            try:
+                placement = datacentre.allocate(task(index, *step[1:]))
+            except AllocationFailure:
+                pass
+            else:
+                placements.append(placement)
+                if len(placement.memory_shares) > 1:
+                    event("memory split across modules")
+        elif placements:
+            datacentre.release(placements.pop(step[1] % len(placements)))
+        check(datacentre)
+
+
+def stranded_pct(free, on, units):
+    return float(free[on].sum()) / units * 100.0
+
+
+class TestBestFit:
+    def test_zero_length_places_nothing(self):
+        assert best_fit(np.array([], dtype=bool), np.array([])) is None
+
+    def test_all_infeasible_places_nothing(self):
+        feasible = np.zeros(3, dtype=bool)
+        assert best_fit(feasible, np.array([0.3, 0.1, 0.2])) is None
+
+    def test_ties_pick_the_lowest_index(self):
+        feasible = np.array([False, True, True, True])
+        slack = np.array([0.0, 0.5, 0.2, 0.2])
+        assert best_fit(feasible, slack) == 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        pool=st.lists(
+            st.tuples(
+                st.booleans(),
+                st.one_of(st.sampled_from([0.0, 0.25, 1.0]),
+                          st.floats(min_value=-2.0, max_value=2.0)),
+            ),
+            max_size=12,
+        )
+    )
+    def test_matches_reference(self, pool):
+        feasible = np.array([f for f, _ in pool], dtype=bool)
+        slack = np.array([s for _, s in pool], dtype=float)
+        expected = (None if not feasible.any()
+                    else int(np.argmin(np.where(feasible, slack, np.inf))))
+        got = best_fit(feasible, slack)
+        assert got == expected
+        assert got is None or type(got) is int
 
 
 class TestTrace:
@@ -94,15 +169,36 @@ class TestFixedDatacentre:
         assert dc.stranded_memory() == pytest.approx(0.1)
         assert dc.servers_off() == 1
 
+    @settings(max_examples=50, deadline=None)
+    @given(steps=CHURN)
+    def test_property_off_count_never_drifts(self, steps):
+        def check(dc):
+            off = int((dc.tasks_on == 0).sum())
+            assert dc.servers_off() == off
+            on = dc.tasks_on > 0
+            assert dc.utilization() == (
+                stranded_pct(dc.cpu_free, on, dc.servers),
+                stranded_pct(dc.mem_free, on, dc.servers),
+                off / dc.servers * 100.0,
+                off / dc.servers * 100.0,
+            )
+
+        churn(FixedDatacentre(5), steps, check)
+
 
 class TestDisaggregatedDatacentre:
     def test_memory_can_split_across_modules(self):
         dc = DisaggregatedDatacentre(2, 2, links_per_module=16)
-        dc.allocate(task(0, cpu=0.1, memory=0.9))
+        first = dc.allocate(task(0, cpu=0.1, memory=0.9))
         dc.allocate(task(1, cpu=0.1, memory=0.9))
         # 0.1 free on each module: a 0.15 request must span both.
         placement = dc.allocate(task(2, cpu=0.1, memory=0.15))
         assert len(placement.memory_shares) == 2
+        # Each module stays on while any share of any task uses it.
+        dc.release(first)
+        assert dc.memory_off() == 0
+        dc.release(placement)
+        assert dc.memory_off() == 1
 
     def test_split_respects_link_budget(self):
         dc = DisaggregatedDatacentre(1, 4, links_per_module=2)
@@ -165,6 +261,26 @@ class TestDisaggregatedDatacentre:
         for placement in placements:
             total = sum(amount for _u, amount in placement.memory_shares)
             assert total == pytest.approx(placement.task.memory)
+
+    @settings(max_examples=50, deadline=None)
+    @given(steps=CHURN)
+    def test_property_off_counts_never_drift(self, steps):
+        def check(dc):
+            compute_off = int((dc.compute_tasks == 0).sum())
+            memory_off = int((dc.memory_users == 0).sum())
+            assert dc.compute_off() == compute_off
+            assert dc.memory_off() == memory_off
+            compute, memory = dc.compute_modules, dc.memory_modules
+            assert dc.utilization() == (
+                stranded_pct(dc.cpu_free, dc.compute_tasks > 0, compute),
+                stranded_pct(dc.mem_free, dc.memory_users > 0, memory),
+                compute_off / compute * 100.0,
+                memory_off / memory * 100.0,
+            )
+
+        # Two memory modules for four compute modules: about a third of
+        # the examples split a request across memory modules.
+        churn(DisaggregatedDatacentre(4, 2, links_per_module=4), steps, check)
 
 
 class TestFig1Experiment:

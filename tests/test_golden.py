@@ -26,7 +26,7 @@ import io
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional
 
@@ -213,18 +213,29 @@ def _dse_smoke() -> Dict[str, bytes]:
         return _files(out)
 
 
-def _fig1_utilization(units: int) -> bytes:
-    """Best-fit placement in both Fig. 1 models: the four utilization
-    numbers per model."""
-    reports = run_fig1_experiment(scaled_trace_config(units=units), units=units)
+@functools.lru_cache(maxsize=None)
+def _fig1_reports(units: int):
+    return run_fig1_experiment(scaled_trace_config(units=units), units=units)
+
+
+#: What a ``fig1/<kind>-<units>`` entry hashes of each model's report.
+FIG1_KINDS: Dict[str, Callable[[Any], Any]] = {
+    "utilization": lambda report: [
+        report.cpu_fragmentation_pct,
+        report.memory_fragmentation_pct,
+        report.compute_off_pct,
+        report.memory_off_pct,
+    ],
+    "reports": asdict,
+}
+
+
+def _fig1(output: str) -> bytes:
+    """Best-fit placement in both Fig. 1 models at ``<kind>-<units>``."""
+    kind, units = output.rsplit("-", 1)
+    reports = _fig1_reports(int(units))
     values = {
-        name: [
-            report.cpu_fragmentation_pct,
-            report.memory_fragmentation_pct,
-            report.compute_off_pct,
-            report.memory_off_pct,
-        ]
-        for name, report in reports.items()
+        name: FIG1_KINDS[kind](report) for name, report in reports.items()
     }
     return json.dumps(values, sort_keys=True).encode()
 
@@ -243,9 +254,7 @@ PRODUCERS: Dict[str, Callable[[str, Any], Artifact]] = {
     "cluster_cli": lambda output, results: Artifact(_cluster_cli()[output]),
     "busy_replay": lambda output, results: Artifact(_busy_replays()[output]),
     "dse_smoke": lambda output, results: Artifact(_dse_smoke()[output]),
-    "fig1": lambda output, results: Artifact(
-        _fig1_utilization(int(output[len("utilization-"):]))
-    ),
+    "fig1": lambda output, results: Artifact(_fig1(output)),
     "repro_stdout": lambda output, results: Artifact(
         _repro_stdout(output, results).encode()
     ),
