@@ -1,18 +1,10 @@
 """Deterministic discrete-event simulation kernel and instrumentation."""
 
 from .domains import DomainCoordinator, DomainMessage, SyncError
-from .engine import (
-    Interrupt,
-    Process,
-    Signal,
-    SimulationError,
-    Simulator,
-    Timeout,
-)
+from .engine import Process, Signal, SimulationError, Simulator
 from .resources import CreditPool, Resource, Store
 from .rng import SeededRNG, ZipfGenerator
 from .stats import (
-    Histogram,
     LatencyRecorder,
     RunningStats,
     TimeWeightedValue,
@@ -27,8 +19,6 @@ __all__ = [
     "SyncError",
     "Process",
     "Signal",
-    "Timeout",
-    "Interrupt",
     "SimulationError",
     "Resource",
     "Store",
@@ -36,7 +26,6 @@ __all__ = [
     "SeededRNG",
     "ZipfGenerator",
     "RunningStats",
-    "Histogram",
     "LatencyRecorder",
     "TimeWeightedValue",
     "percentile",

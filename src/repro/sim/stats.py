@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 __all__ = [
     "RunningStats",
-    "Histogram",
     "LatencyRecorder",
     "TimeWeightedValue",
     "percentile",
@@ -145,70 +144,6 @@ class RunningStats:
             f"RunningStats({self.name!r}, n={self.count}, "
             f"mean={self.mean:.4g}, sd={self.stdev:.4g})"
         )
-
-
-class Histogram:
-    """Fixed-bin histogram over [low, high) with under/overflow bins."""
-
-    def __init__(self, low: float, high: float, bins: int, name: str = ""):
-        if high <= low:
-            raise ValueError(f"need high > low, got [{low}, {high})")
-        if bins < 1:
-            raise ValueError(f"need bins >= 1, got {bins}")
-        self.low = low
-        self.high = high
-        self.bins = bins
-        self.name = name
-        self.counts = [0] * bins
-        self.underflow = 0
-        self.overflow = 0
-        self._width = (high - low) / bins
-
-    def add(self, value: float) -> None:
-        if value < self.low:
-            self.underflow += 1
-        elif value >= self.high:
-            self.overflow += 1
-        else:
-            self.counts[int((value - self.low) / self._width)] += 1
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts) + self.underflow + self.overflow
-
-    def bin_edges(self) -> List[float]:
-        return [self.low + i * self._width for i in range(self.bins + 1)]
-
-    def normalized(self) -> List[float]:
-        total = self.total
-        if total == 0:
-            return [0.0] * self.bins
-        return [c / total for c in self.counts]
-
-    def render(self, width: int = 40) -> str:
-        """ASCII bar rendering, one line per bin.
-
-        Empty bins render a bar of zero characters (never a division by
-        zero); a histogram with no samples at all renders every bin that
-        way, plus the under/overflow tallies.
-        """
-        peak = max(self.counts) if self.counts else 0
-        lines = []
-        if self.name:
-            lines.append(f"{self.name} (n={self.total})")
-        for index, count in enumerate(self.counts):
-            low_edge = self.low + index * self._width
-            high_edge = low_edge + self._width
-            bar = "#" * (round(count / peak * width) if peak else 0)
-            lines.append(
-                f"[{low_edge:>12.6g}, {high_edge:>12.6g})"
-                f" {count:>8} {bar}"
-            )
-        if self.underflow:
-            lines.append(f"{'underflow':>27} {self.underflow:>8}")
-        if self.overflow:
-            lines.append(f"{'overflow':>27} {self.overflow:>8}")
-        return "\n".join(lines)
 
 
 class LatencyRecorder:

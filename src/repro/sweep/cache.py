@@ -9,9 +9,9 @@ deletes entries whose recorded fingerprint no longer matches the
 current tree.
 
 The default root is ``benchmarks/results/cache/`` at the repository
-root (override with the ``REPRO_SWEEP_CACHE`` environment variable or
-the ``root`` argument). Writes are atomic (temp file + ``os.replace``)
-so parallel writers and readers never observe torn JSON.
+root (override with the ``root`` argument). Writes are atomic (temp
+file + ``os.replace``) so parallel writers and readers never observe
+torn JSON.
 """
 
 from __future__ import annotations
@@ -32,9 +32,6 @@ _REPO_ROOT = os.path.dirname(
 
 
 def default_cache_dir() -> str:
-    override = os.environ.get("REPRO_SWEEP_CACHE")
-    if override:
-        return override
     return os.path.join(_REPO_ROOT, "benchmarks", "results", "cache")
 
 

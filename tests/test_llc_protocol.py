@@ -132,7 +132,7 @@ class TestLossyChannel:
                 waiting = a.submit(txn)
                 if waiting is not None:
                     yield waiting
-            yield sim.timeout(10e-6)  # let earlier frames flush
+            yield 10e-6  # let earlier frames flush
             faults.force_drop_next()
             txn = MemTransaction.write(5 * 128, bytes(128))
             sent_ids.append(txn.txn_id)

@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.sim import (
-    Interrupt,
-    Signal,
-    SimulationError,
-    Simulator,
-    Timeout,
-)
+from repro.sim import Signal, SimulationError, Simulator
 
 
 class TestScheduling:
@@ -40,14 +34,6 @@ class TestScheduling:
         sim.run()
         assert order == list("abcde")
 
-    def test_priority_breaks_ties_before_insertion_order(self):
-        sim = Simulator()
-        order = []
-        sim.schedule(1.0, order.append, "late", priority=1)
-        sim.schedule(1.0, order.append, "early", priority=-1)
-        sim.run()
-        assert order == ["early", "late"]
-
     def test_negative_delay_rejected(self):
         sim = Simulator()
         with pytest.raises(SimulationError):
@@ -65,9 +51,6 @@ class TestScheduling:
         sim = Simulator()
         sim.run(until=7.5)
         assert sim.now == 7.5
-
-    def test_step_returns_false_when_empty(self):
-        assert Simulator().step() is False
 
     def test_event_count_increments(self):
         sim = Simulator()
@@ -92,7 +75,7 @@ class TestProcesses:
         sim = Simulator()
 
         def proc():
-            yield Timeout(2.5)
+            yield 2.5
             return sim.now
 
         assert sim.run_process(proc()) == 2.5
@@ -101,26 +84,17 @@ class TestProcesses:
         sim = Simulator()
 
         def proc():
-            yield Timeout(1.0)
-            yield Timeout(2.0)
+            yield 1.0
+            yield 2.0
             return sim.now
 
         assert sim.run_process(proc()) == 3.0
-
-    def test_timeout_value_is_returned_from_yield(self):
-        sim = Simulator()
-
-        def proc():
-            value = yield Timeout(1.0, value="payload")
-            return value
-
-        assert sim.run_process(proc()) == "payload"
 
     def test_process_return_value(self):
         sim = Simulator()
 
         def proc():
-            yield Timeout(0.0)
+            yield 0.0
             return 42
 
         assert sim.run_process(proc()) == 42
@@ -129,7 +103,7 @@ class TestProcesses:
         sim = Simulator()
 
         def child():
-            yield Timeout(3.0)
+            yield 3.0
             return "done"
 
         def parent():
@@ -167,7 +141,7 @@ class TestProcesses:
         sim = Simulator()
 
         def proc():
-            yield Timeout(1.0)
+            yield 1.0
             raise ValueError("boom")
 
         with pytest.raises(ValueError, match="boom"):
@@ -191,7 +165,7 @@ class TestProcesses:
         sim = Simulator()
 
         def child(delay, tag):
-            yield Timeout(delay)
+            yield delay
             return tag
 
         children = [sim.process(child(d, i)) for i, d in enumerate([3.0, 1.0, 2.0])]
@@ -262,58 +236,89 @@ class TestSignals:
 
         assert sim.run_process(late_waiter()) == "latched"
 
-    def test_waiter_count(self):
-        sim = Simulator()
-        signal = Signal()
 
-        def waiter():
-            yield signal
+class TestYieldedNumbers:
+    def test_int_and_float_yields_give_identical_timestamps(self):
+        def stamps(step):
+            sim = Simulator()
+            seen = []
 
-        sim.process(waiter())
-        sim.run(until=0.0)
-        # The process has started and subscribed.
-        sim.step()  # no-op when nothing is pending
-        assert signal.waiter_count <= 1
+            def ticker():
+                for _ in range(3):
+                    yield step
+                    seen.append(sim.now)
+                yield step * 0
+                seen.append(sim.now)
 
+            sim.run_process(ticker())
+            return seen
 
-class TestInterrupt:
-    def test_interrupt_wakes_blocked_process(self):
+        assert stamps(1) == stamps(1.0) == [1.0, 2.0, 3.0, 3.0]
+
+    @pytest.mark.parametrize("delay", [-1, -1.0, float("nan")])
+    def test_negative_number_raises_naming_the_process(self, delay):
         sim = Simulator()
 
         def sleeper():
+            yield delay
+
+        with pytest.raises(SimulationError, match="'sleeper' yielded"):
+            sim.run_process(sleeper())
+
+
+class TestCrashPropagation:
+    def test_joiner_catches_error_of_process_that_later_raises(self):
+        sim = Simulator()
+
+        def doomed():
+            yield 2.0
+            raise ValueError("boom")
+
+        def joiner():
             try:
-                yield Timeout(100.0)
-            except Interrupt as exc:
-                return ("interrupted", exc.cause, sim.now)
-            return "slept"
+                yield sim.process(doomed())
+            except ValueError as exc:
+                caught = (str(exc), sim.now)
+            yield 1.0
+            return caught, sim.now
 
-        proc = sim.process(sleeper())
-        sim.schedule(5.0, proc.interrupt, "wake up")
-        sim.run()
-        assert proc.result == ("interrupted", "wake up", 5.0)
+        assert sim.run_process(joiner()) == (("boom", 2.0), 3.0)
 
-    def test_interrupt_dead_process_is_noop(self):
+    def test_joiner_catches_error_of_already_crashed_process(self):
         sim = Simulator()
 
-        def quick():
-            yield Timeout(1.0)
+        def doomed():
+            yield 1.0
+            raise ValueError("boom")
 
-        proc = sim.process(quick())
-        sim.run()
-        proc.interrupt("too late")
-        sim.run()
-        assert proc.alive is False
+        child = sim.process(doomed())
+        with pytest.raises(ValueError, match="boom"):
+            sim.run()
+        assert child.alive is False
 
-    def test_uncaught_interrupt_kills_quietly(self):
+        def joiner():
+            try:
+                yield child
+            except ValueError as exc:
+                return str(exc), sim.now
+
+        assert sim.run_process(joiner()) == ("boom", 1.0)
+
+    def test_uncaught_error_comes_out_of_run(self):
         sim = Simulator()
 
-        def sleeper():
-            yield Timeout(100.0)
+        def doomed():
+            yield 1.0
+            raise ValueError("boom")
 
-        proc = sim.process(sleeper())
-        sim.schedule(1.0, proc.interrupt)
-        sim.run()  # must not raise
-        assert proc.alive is False
+        def joiner():
+            yield sim.process(doomed())
+
+        sim.process(joiner())
+        with pytest.raises(ValueError, match="boom") as info:
+            sim.run()
+        assert "raised inside process 'joiner'" in info.value.__notes__
+        assert sim.now == 1.0
 
 
 class TestDeterminism:
@@ -323,9 +328,9 @@ class TestDeterminism:
             trace = []
 
             def worker(tag, delay):
-                yield Timeout(delay)
+                yield delay
                 trace.append((tag, sim.now))
-                yield Timeout(delay * 2)
+                yield delay * 2
                 trace.append((tag, sim.now))
 
             for tag in range(5):

@@ -8,7 +8,6 @@ from repro.sim import (
     SimulationError,
     Simulator,
     Store,
-    Timeout,
 )
 
 
@@ -30,11 +29,11 @@ class TestResource:
 
         def holder():
             yield resource.acquire()
-            yield Timeout(5.0)
+            yield 5.0
             resource.release()
 
         def waiter():
-            yield Timeout(1.0)
+            yield 1.0
             yield resource.acquire()
             timeline.append(sim.now)
             resource.release()
@@ -51,11 +50,11 @@ class TestResource:
 
         def holder():
             yield resource.acquire()
-            yield Timeout(10.0)
+            yield 10.0
             resource.release()
 
         def waiter(tag, arrive):
-            yield Timeout(arrive)
+            yield arrive
             yield resource.acquire()
             order.append(tag)
             resource.release()
@@ -115,7 +114,7 @@ class TestStore:
             return (value, sim.now)
 
         def producer():
-            yield Timeout(3.0)
+            yield 3.0
             yield store.put("late")
 
         proc = sim.process(consumer())
@@ -157,7 +156,7 @@ class TestStore:
             timeline.append(sim.now)
 
         def consumer():
-            yield Timeout(4.0)
+            yield 4.0
             yield store.get()
 
         sim.process(producer())
@@ -224,7 +223,7 @@ class TestCreditPool:
         order = []
 
         def transmitter(tag, arrive):
-            yield Timeout(arrive)
+            yield arrive
             yield pool.consume()
             order.append(tag)
 

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import (
-    Histogram,
     LatencyRecorder,
     RunningStats,
     TimeWeightedValue,
@@ -99,41 +98,6 @@ class TestRunningStats:
         assert merged.maximum == sequential.maximum
 
 
-class TestHistogram:
-    def test_binning(self):
-        hist = Histogram(0.0, 10.0, bins=10)
-        for value in (0.5, 1.5, 1.7, 9.9):
-            hist.add(value)
-        assert hist.counts[0] == 1
-        assert hist.counts[1] == 2
-        assert hist.counts[9] == 1
-
-    def test_under_overflow(self):
-        hist = Histogram(0.0, 1.0, bins=2)
-        hist.add(-0.1)
-        hist.add(1.0)  # right edge is exclusive
-        assert hist.underflow == 1
-        assert hist.overflow == 1
-        assert hist.total == 2
-
-    def test_normalized(self):
-        hist = Histogram(0.0, 2.0, bins=2)
-        hist.add(0.5)
-        hist.add(1.5)
-        hist.add(1.6)
-        assert hist.normalized() == pytest.approx([1 / 3, 2 / 3])
-
-    def test_bin_edges(self):
-        hist = Histogram(0.0, 1.0, bins=4)
-        assert hist.bin_edges() == pytest.approx([0, 0.25, 0.5, 0.75, 1.0])
-
-    def test_invalid_geometry(self):
-        with pytest.raises(ValueError):
-            Histogram(1.0, 0.0, bins=4)
-        with pytest.raises(ValueError):
-            Histogram(0.0, 1.0, bins=0)
-
-
 class TestLatencyRecorder:
     def test_cdf_monotone(self):
         recorder = LatencyRecorder()
@@ -218,33 +182,6 @@ class TestEdgeCases:
         assert percentile([1.0, 2.0], 100.0) == 2.0
         with pytest.raises(ValueError):
             percentile([1.0], -0.001)
-
-    def test_histogram_render_with_no_samples(self):
-        hist = Histogram(0.0, 10.0, bins=4, name="empty")
-        text = hist.render()
-        assert "empty (n=0)" in text
-        lines = text.splitlines()
-        assert len(lines) == 5  # header + 4 bins, no under/overflow rows
-        for line in lines[1:]:
-            assert line.rstrip().endswith("0")  # zero count, zero-width bar
-            assert "#" not in line
-
-    def test_histogram_render_empty_buckets_between_full_ones(self):
-        hist = Histogram(0.0, 4.0, bins=4)
-        hist.add(0.5)
-        hist.add(3.5)
-        lines = hist.render(width=10).splitlines()
-        assert len(lines) == 4
-        assert "#" in lines[0] and "#" in lines[3]
-        assert "#" not in lines[1] and "#" not in lines[2]
-
-    def test_histogram_render_shows_overflow_tallies(self):
-        hist = Histogram(0.0, 1.0, bins=2)
-        hist.add(-1.0)
-        hist.add(5.0)
-        text = hist.render()
-        assert "underflow" in text
-        assert "overflow" in text
 
     def test_latency_recorder_zero_samples(self):
         recorder = LatencyRecorder("idle")
