@@ -25,13 +25,12 @@ import time
 
 from repro.mem import MIB
 from repro.obs import (
+    EventLog,
     MetricsRegistry,
-    disable_events,
-    disable_profiling,
-    enable_events,
-    enable_profiling,
+    SimProfiler,
     parse_prometheus,
     render_prometheus,
+    session,
 )
 from repro.osmodel import PagePolicy
 from repro.testbed import RemoteBuffer, Testbed
@@ -106,16 +105,13 @@ def _telemetry_run() -> dict:
     on during the run, then registry registration and a snapshot —
     the scrape a live experiment would serve.
     """
-    enable_events()
-    enable_profiling(stride=PROFILER_STRIDE)
-    try:
+    log = EventLog()
+    profiler = SimProfiler(stride=PROFILER_STRIDE)
+    with session(events=log, profile=profiler):
         testbed = _stream_workload()
-    finally:
-        profiler = disable_profiling()
-    registry = MetricsRegistry()
-    testbed.register_observability(registry)
-    series = len(registry.snapshot())
-    log = disable_events()
+        registry = MetricsRegistry()
+        testbed.register_observability(registry)
+        series = len(registry.snapshot())
     return {
         "events_logged": log.total,
         "profile_samples": profiler.samples_taken,

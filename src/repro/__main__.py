@@ -231,19 +231,17 @@ def _run_trace(args, parser) -> int:
 
     from .obs import (
         MetricsRegistry,
-        disable_tracing,
-        enable_tracing,
+        Tracer,
         render_metrics_summary,
+        session,
         write_chrome_trace,
         write_metrics_json,
     )
 
     os.makedirs(args.out, exist_ok=True)
-    tracer = enable_tracing(sample_every=args.sample)
-    try:
+    tracer = Tracer(sample_every=args.sample)
+    with session(trace=tracer):
         testbed = _TRACE_WORKLOADS[args.workload](args.nbytes)
-    finally:
-        disable_tracing()
     registry = MetricsRegistry()
     testbed.register_observability(registry)
 
@@ -266,20 +264,13 @@ def _run_trace(args, parser) -> int:
 
 def _trace_chaos(args) -> int:
     """Traced resilience scenario: validated Chrome trace + journal."""
-    from .obs import (
-        chrome_trace,
-        disable_tracing,
-        enable_tracing,
-        validate_chrome_trace,
-    )
+    from .obs import Tracer, chrome_trace, session, validate_chrome_trace
     from .resilience import run_scenario
 
     os.makedirs(args.out, exist_ok=True)
-    tracer = enable_tracing(sample_every=args.sample)
-    try:
+    tracer = Tracer(sample_every=args.sample)
+    with session(trace=tracer):
         result = run_scenario(args.scenario, seed=args.seed)
-    finally:
-        disable_tracing()
 
     document = chrome_trace(tracer)
     count = validate_chrome_trace(document)
@@ -354,39 +345,33 @@ def _run_metrics(args, parser) -> int:
         return 0
 
     from .obs import (
+        EventLog,
         MetricsRegistry,
-        disable_events,
-        disable_profiling,
-        enable_events,
-        enable_profiling,
+        SimProfiler,
         parse_prometheus,
         render_prometheus,
+        session,
     )
     from .obs.slo import SloEngine, parse_slo_specs
 
     specs = parse_slo_specs(args.slos)
 
     os.makedirs(args.out, exist_ok=True)
-    enable_events()
-    enable_profiling(stride=args.stride)
-    try:
+    log = EventLog()
+    profiler = SimProfiler(stride=args.stride)
+    # SLOs are evaluated inside the session so breach events land in
+    # the journal with the workload as correlation context.
+    with session(events=log, profile=profiler):
         testbed = _TRACE_WORKLOADS[args.workload](args.nbytes)
-    finally:
-        profiler = disable_profiling()
-
-    registry = MetricsRegistry()
-    testbed.register_observability(registry)
-
-    # Evaluate SLOs before closing the journal so breach events land in
-    # it with the workload as correlation context.
-    report = None
-    if specs:
-        report = SloEngine(specs).evaluate(
-            registry,
-            now=testbed.sim.now,
-            context={"workload": args.workload},
-        )
-    log = disable_events()
+        registry = MetricsRegistry()
+        testbed.register_observability(registry)
+        report = None
+        if specs:
+            report = SloEngine(specs).evaluate(
+                registry,
+                now=testbed.sim.now,
+                context={"workload": args.workload},
+            )
 
     exposition = render_prometheus(registry)
     parsed = parse_prometheus(exposition)  # strict self-check
@@ -1081,12 +1066,11 @@ def _run_serve(args, parser) -> int:
     from .control.api import RestApi
     from .control.qos import QosClass
     from .control.server import ControlServer, ServerConfig
-    from .obs import MetricsRegistry, enable_events
+    from .obs import EventLog, MetricsRegistry, session
     from .testbed import Testbed
 
     async def serve() -> None:
         testbed = Testbed()
-        enable_events(4096)
         registry = MetricsRegistry()
         api = RestApi(testbed.plane, registry=registry)
         demo_tenant = testbed.plane.register_tenant(
@@ -1117,7 +1101,8 @@ def _run_serve(args, parser) -> int:
                   f"shed {server.queue.shed_count}")
 
     try:
-        asyncio.run(serve())
+        with session(events=EventLog()):
+            asyncio.run(serve())
     except KeyboardInterrupt:
         pass
     return 0

@@ -44,7 +44,7 @@ import numpy as np
 from ..errors import ReproError
 from ..mem import MIB
 from ..obs import MetricsRegistry
-from ..obs.events import EventLog, capture_into
+from ..obs import EventLog, session
 from ..obs import events as _events
 from ..opencapi.transactions import reset_txn_ids
 from ..sim.domains import DomainMessage
@@ -274,7 +274,7 @@ class RackDomain:
     def advance(self, window_end: float,
                 inbox: List[DomainMessage]) -> List[DomainMessage]:
         self._outbox = []
-        with capture_into(self._log):
+        with session(events=self._log):
             for message in inbox:
                 self.sim.schedule_at(
                     message.deliver_t, self._on_message, message

@@ -28,10 +28,27 @@ The cooperating pieces (see ``docs/observability.md``):
   evaluated against the registry, with breach events and a CI exit
   mode.
 
+One switch turns the three collecting channels on and off, for a
+block::
+
+    tracer, log, profiler = Tracer(), EventLog(), SimProfiler()
+    with session(trace=tracer, events=log, profile=profiler):
+        ...  # run the workload
+
+:func:`session` installs the collectors it is given, leaves the other
+channels as they are, and on exit (also on an exception) gives every
+channel it changed its previous collector back, so sessions nest.
+Callers build the collectors, which own their knobs: ``sample_every``
+on :class:`Tracer`, ``capacity`` on :class:`EventLog`, ``stride`` on
+:class:`SimProfiler`. :func:`active_event_log` reads the installed
+journal. ``enable_tracing``/``disable_tracing`` remain only for the
+benchmark ledger and are deleted with ROADMAP item 5.
+
 Instrumentation is **off by default**: every call site is guarded by
-the module-level :data:`repro.obs.trace.ENABLED` flag, checked before
-any allocation, so the fast-path wins of the simulation kernel are
-preserved when observability is not requested. When on, 1-in-N
+its channel's module-level ``ENABLED`` flag (such as
+:data:`repro.obs.trace.ENABLED`), checked before any allocation, so
+the fast-path wins of the simulation kernel are preserved when
+observability is not requested. When on, 1-in-N
 transaction sampling (``sample_every``) bounds tracing volume further.
 
 This package deliberately imports nothing from the rest of ``repro``
@@ -40,13 +57,10 @@ dependency back into :mod:`repro.sim` would be circular.
 """
 
 from .trace import (
-    ENABLED,
     Tracer,
     TxnRecord,
-    active_tracer,
     disable_tracing,
     enable_tracing,
-    tracing,
 )
 from .metrics import (
     Counter,
@@ -73,20 +87,11 @@ from .events import (
     Event,
     EventLog,
     active_event_log,
-    capture_into,
-    disable_events,
-    enable_events,
-    event_logging,
     merge_event_streams,
     validate_event_jsonl,
 )
-from .profiler import (
-    SimProfiler,
-    active_profiler,
-    disable_profiling,
-    enable_profiling,
-    profiling,
-)
+from .profiler import SimProfiler
+from .switch import session
 from .slo import (
     SloEngine,
     SloReport,
@@ -95,13 +100,11 @@ from .slo import (
 )
 
 __all__ = [
-    "ENABLED",
+    "session",
     "Tracer",
     "TxnRecord",
-    "active_tracer",
     "enable_tracing",
     "disable_tracing",
-    "tracing",
     "Counter",
     "Gauge",
     "HistogramMetric",
@@ -120,18 +123,10 @@ __all__ = [
     "parse_prometheus",
     "Event",
     "EventLog",
-    "enable_events",
-    "disable_events",
     "active_event_log",
-    "event_logging",
-    "capture_into",
     "merge_event_streams",
     "validate_event_jsonl",
     "SimProfiler",
-    "enable_profiling",
-    "disable_profiling",
-    "active_profiler",
-    "profiling",
     "SloSpec",
     "SloEngine",
     "SloReport",

@@ -12,11 +12,12 @@ Determinism: events record **sim-time only** — never wall-clock — so a
 seeded run emits a byte-identical journal every time, and the chaos CI
 job can diff two runs with ``cmp``.
 
-Same guard-flag pattern as ``trace``: logging is off by default, and
-when off each instrumented call site costs one module-attribute load
-plus a falsy branch. The journal is bounded (a deque) so an
-instrumented long run cannot grow without limit; ``total`` and
-``evicted`` report how much history was dropped.
+Same guard-flag pattern as ``trace``: logging is off by default,
+:func:`repro.obs.session` turns it on, and when off each instrumented
+call site costs one module-attribute load plus a falsy branch. The
+journal is bounded (a deque) so an instrumented long run cannot grow
+without limit; ``total`` and ``evicted`` report how much history was
+dropped.
 
 Stdlib-only, like the rest of ``repro.obs``.
 """
@@ -30,11 +31,7 @@ from typing import Any, Deque, Dict, Iterator, List, Optional
 __all__ = [
     "Event",
     "EventLog",
-    "enable_events",
-    "disable_events",
     "active_event_log",
-    "event_logging",
-    "capture_into",
     "emit",
     "merge_event_streams",
     "validate_event_jsonl",
@@ -166,7 +163,7 @@ def validate_event_jsonl(text: str) -> int:
     return count
 
 
-# -- module-level switch (same pattern as trace) ----------------------------------
+# -- module-level channel (set by repro.obs.session) -------------------------------
 
 #: Hot-path guard. Instrumented call sites check this before touching
 #: anything else, so disabled logging costs one global load + branch.
@@ -175,76 +172,15 @@ ENABLED = False
 _LOG: Optional[EventLog] = None
 
 
-def enable_events(capacity: int = 4096) -> EventLog:
-    """Install a fresh event log and enable emission."""
-    global ENABLED, _LOG
-    _LOG = EventLog(capacity=capacity)
-    ENABLED = True
-    return _LOG
-
-
-def disable_events() -> Optional[EventLog]:
-    """Disable emission; returns the log for export."""
-    global ENABLED, _LOG
-    log = _LOG
-    ENABLED = False
-    _LOG = None
-    return log
-
-
 def active_event_log() -> Optional[EventLog]:
+    """The journal a session installed, or None (``/v1/events`` reads it)."""
     return _LOG
-
-
-class event_logging:
-    """Context manager for scoped logging: yields the EventLog."""
-
-    def __init__(self, capacity: int = 4096):
-        self.capacity = capacity
-        self.log: Optional[EventLog] = None
-
-    def __enter__(self) -> EventLog:
-        self.log = enable_events(capacity=self.capacity)
-        return self.log
-
-    def __exit__(self, *exc_info: Any) -> None:
-        disable_events()
 
 
 def emit(now: float, kind: str, **fields: Any) -> None:
     """Emit an event if logging is enabled (guarded helper)."""
     if _LOG is not None:
         _LOG.emit(now, kind, **fields)
-
-
-class capture_into:
-    """Route emission into a caller-owned :class:`EventLog`, scoped.
-
-    Unlike :class:`event_logging` (which installs a *fresh* log and
-    discards the switch state), this temporarily redirects the module
-    switch to an existing log and restores whatever was active on
-    exit. It is how one process hosts several independent journals:
-    the rack-domain coordinator (:mod:`repro.sim.domains`) runs many
-    domains per worker and each domain swaps its own journal in for
-    the duration of its window, so per-domain streams never
-    interleave at the source.
-    """
-
-    def __init__(self, log: EventLog):
-        self.log = log
-        self._saved: Optional[tuple] = None
-
-    def __enter__(self) -> EventLog:
-        global ENABLED, _LOG
-        self._saved = (ENABLED, _LOG)
-        ENABLED = True
-        _LOG = self.log
-        return self.log
-
-    def __exit__(self, *exc_info: Any) -> None:
-        global ENABLED, _LOG
-        ENABLED, _LOG = self._saved
-        self._saved = None
 
 
 def merge_event_streams(

@@ -24,8 +24,7 @@ and must not import back into ``repro.sim``.
 
 from __future__ import annotations
 
-import json
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 __all__ = [
     "Counter",
@@ -293,9 +292,6 @@ class MetricsRegistry:
         for metric in self._metrics.values():
             flat.update(metric.sample())
         return dict(sorted(flat.items()))
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
 
     def value(self, name: str, **labels: Any) -> float:
         """Convenience: one metric's snapshot value (collects first)."""

@@ -20,7 +20,8 @@ folded-stacks file (``sim;phase;component count``, feed straight to
 ``flamegraph.pl`` or speedscope) and a top-N table in a
 :class:`~repro.obs.summary.RunSummary`.
 
-Same guard-flag pattern as ``trace``/``events``; stdlib-only.
+Same guard-flag pattern as ``trace``/``events``, switched on by
+:func:`repro.obs.session`; stdlib-only.
 """
 
 from __future__ import annotations
@@ -34,10 +35,6 @@ __all__ = [
     "PHASES",
     "classify_phase",
     "SimProfiler",
-    "enable_profiling",
-    "disable_profiling",
-    "active_profiler",
-    "profiling",
 ]
 
 #: Coarse datapath phases, matched against component names in order.
@@ -214,7 +211,7 @@ class SimProfiler:
         }
 
 
-# -- module-level switch (same pattern as trace) ----------------------------------
+# -- module-level channel (set by repro.obs.session) -------------------------------
 
 #: Hot-path guard checked once per dispatch-loop entry; the per-event
 #: cost while enabled is a local integer countdown in the kernel.
@@ -222,38 +219,3 @@ ENABLED = False
 
 _PROFILER: Optional[SimProfiler] = None
 
-
-def enable_profiling(stride: int = 1024) -> SimProfiler:
-    """Install a fresh profiler and enable kernel sampling."""
-    global ENABLED, _PROFILER
-    _PROFILER = SimProfiler(stride=stride)
-    ENABLED = True
-    return _PROFILER
-
-
-def disable_profiling() -> Optional[SimProfiler]:
-    """Stop sampling; returns the profiler for reporting."""
-    global ENABLED, _PROFILER
-    profiler = _PROFILER
-    ENABLED = False
-    _PROFILER = None
-    return profiler
-
-
-def active_profiler() -> Optional[SimProfiler]:
-    return _PROFILER
-
-
-class profiling:
-    """Context manager for scoped profiling: yields the SimProfiler."""
-
-    def __init__(self, stride: int = 1024):
-        self.stride = stride
-        self.profiler: Optional[SimProfiler] = None
-
-    def __enter__(self) -> SimProfiler:
-        self.profiler = enable_profiling(stride=self.stride)
-        return self.profiler
-
-    def __exit__(self, *exc_info: Any) -> None:
-        disable_profiling()

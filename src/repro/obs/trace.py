@@ -19,10 +19,10 @@ named tracks instead.
 
 Cost model
 ----------
-``ENABLED`` is a module-level flag. Every instrumented call site in the
-datapath reads it **before** touching the tracer or allocating
-anything, so the disabled cost is one global load plus a branch per
-site. When enabled, 1-in-N sampling (``sample_every``) further bounds
+``ENABLED`` is a module-level flag, set by :func:`repro.obs.session`.
+Every instrumented call site in the datapath reads it **before**
+touching the tracer or allocating anything, so the disabled cost is
+one global load plus a branch per site. When enabled, 1-in-N sampling (``sample_every``) further bounds
 the volume: a transaction is traced iff ``base_txn_id % sample_every
 == 0``, a deterministic rule that needs no per-transaction state for
 declined ids and keeps split-burst segments attributed to their base
@@ -33,8 +33,7 @@ This module must stay stdlib-only — the simulation kernel imports it.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = [
     "ENABLED",
@@ -43,8 +42,6 @@ __all__ = [
     "Span",
     "enable_tracing",
     "disable_tracing",
-    "active_tracer",
-    "tracing",
     "txn_begin",
     "txn_mark",
     "txn_end",
@@ -200,11 +197,18 @@ class Tracer:
         )
 
 
-# -- module-level session management ---------------------------------------------
+# -- legacy switch ----------------------------------------------------------------
+# ``repro.obs.session`` is the telemetry switch. These two remain only
+# for the benchmark ledger (``bench/ledger.py``), which is frozen with
+# the benchmark; ROADMAP item 5 moves it to ``session`` and deletes
+# them. No ``repro`` code calls them.
 
 
 def enable_tracing(sample_every: int = 1) -> Tracer:
-    """Install a fresh global tracer and flip the fast-path flag on."""
+    """Install a fresh global tracer and flip the fast-path flag on.
+
+    Legacy: use ``session(trace=Tracer(...))``. ROADMAP item 5 deletes it.
+    """
     global ENABLED, _TRACER
     _TRACER = Tracer(sample_every=sample_every)
     ENABLED = True
@@ -212,30 +216,19 @@ def enable_tracing(sample_every: int = 1) -> Tracer:
 
 
 def disable_tracing() -> Optional[Tracer]:
-    """Flip the flag off; returns the tracer that was collecting."""
+    """Flip the flag off; returns the tracer that was collecting.
+
+    Legacy, like :func:`enable_tracing`.
+    """
     global ENABLED, _TRACER
     tracer, _TRACER = _TRACER, None
     ENABLED = False
     return tracer
 
 
-def active_tracer() -> Optional[Tracer]:
-    return _TRACER
-
-
-@contextmanager
-def tracing(sample_every: int = 1) -> Iterator[Tracer]:
-    """``with tracing() as tracer: ...`` — enable for the block only."""
-    tracer = enable_tracing(sample_every=sample_every)
-    try:
-        yield tracer
-    finally:
-        disable_tracing()
-
-
 # -- call-site helpers ------------------------------------------------------------
 # Instrumented components call these ONLY behind an ``if trace.ENABLED:``
-# guard; the None-check below covers the enable/disable race within one
+# guard; the None-check below covers a session ending within one
 # dispatch batch, not the common path.
 
 

@@ -24,7 +24,7 @@ from ...control.health import HealthMonitor, HealthState
 from ...core.endpoints import RetryPolicy
 from ...core.llc import LlcConfig
 from ...errors import RemoteMemoryError, ReproError
-from ...obs import events as _events
+from ...obs import EventLog, session
 from ...obs.metrics import MetricsRegistry
 from ...opencapi.transactions import reset_txn_ids
 from ...sim.rng import SeededRNG
@@ -61,9 +61,7 @@ _METRIC_PREFIXES = (
 )
 
 
-def _filter_events(log) -> list:
-    if log is None:
-        return []
+def _filter_events(log: EventLog) -> list:
     return [
         event.as_dict()
         for event in log
@@ -128,8 +126,8 @@ def run_cell(
     # a cached cell must hash identically no matter what ran earlier in
     # this process.
     reset_txn_ids()
-    _events.enable_events()
-    try:
+    log = EventLog()
+    with session(events=log):
         rack = RackTestbed(
             nodes=3,
             channels_per_node=2,
@@ -254,7 +252,6 @@ def run_cell(
 
         from .responses import compute_responses
 
-        log = _events.active_event_log()
         events = _filter_events(log)
         responses = compute_responses(
             size_bytes=size,
@@ -284,5 +281,3 @@ def run_cell(
             "metrics": _filter_snapshot(registry.snapshot()),
             "drained_at_s": drained_at,
         }
-    finally:
-        _events.disable_events()

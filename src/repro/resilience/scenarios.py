@@ -17,7 +17,7 @@ from typing import Callable, Dict
 from ..control.health import HealthMonitor
 from ..core.endpoints import RetryPolicy
 from ..errors import RemoteMemoryError, ReproError
-from ..obs import events as _events
+from ..obs import EventLog, session
 from ..obs.metrics import MetricsRegistry
 from ..obs.slo import SloEngine, parse_slo_specs
 from ..opencapi.transactions import reset_txn_ids
@@ -67,16 +67,18 @@ SCENARIO_SLOS: Dict[str, tuple] = {
 }
 
 
-def _finish(scenario: str, rack, attachment, registry,
+def _finish(rack, attachment, registry, log: EventLog,
             result: Dict) -> Dict:
-    """Evaluate the scenario's SLOs and attach telemetry to the result.
+    """Evaluate ``result["scenario"]``'s SLOs and attach telemetry to
+    the result.
 
-    SLO evaluation runs while the event log is still open, so breach
-    events land in the journal with the scenario and attachment as
-    correlation context; the journal is then closed and embedded. Both
-    blocks are pure sim-time artifacts — seeded runs stay
-    byte-identical, which the chaos-smoke CI job diffs.
+    Called inside the scenario's session, so breach events land in its
+    journal ``log`` with the scenario and attachment as correlation
+    context; the journal is then embedded. Both blocks are pure
+    sim-time artifacts — seeded runs stay byte-identical, which the
+    chaos-smoke CI job diffs.
     """
+    scenario = result["scenario"]
     engine = SloEngine(parse_slo_specs(SCENARIO_SLOS[scenario]))
     report = engine.evaluate(
         registry,
@@ -86,9 +88,8 @@ def _finish(scenario: str, rack, attachment, registry,
             "attachment": attachment.attachment_id,
         },
     )
-    log = _events.disable_events()
     result["slo"] = report.describe()
-    result["events"] = log.to_dicts() if log is not None else []
+    result["events"] = log.to_dicts()
     return result
 
 
@@ -138,10 +139,9 @@ def run_link_kill_failover(seed: int = 7) -> Dict:
     bytes identical; a final drain proves nothing is left hanging.
     """
     # The journal opens before the rack is built so the initial
-    # control.steal/control.attach events are captured too; _finish
-    # closes it (the finally is exception-path cleanup only).
-    _events.enable_events()
-    try:
+    # control.steal/control.attach events are captured too.
+    log = EventLog()
+    with session(events=log):
         rack, attachment, buffer, monitor, registry = _build_rack(seed)
         data = _payload(seed, buffer.size)
         chunk = 8 * KIB
@@ -173,7 +173,7 @@ def run_link_kill_failover(seed: int = 7) -> Dict:
         verified = readback == data
         drained_at = rack.run()  # proves no hung processes / stuck timers
 
-        return _finish("link-kill-failover", rack, attachment, registry, {
+        return _finish(rack, attachment, registry, log, {
             "scenario": "link-kill-failover",
             "seed": seed,
             "verified": verified,
@@ -183,8 +183,6 @@ def run_link_kill_failover(seed: int = 7) -> Dict:
             "drained_at_s": drained_at,
             "metrics": registry.snapshot(),
         })
-    finally:
-        _events.disable_events()
 
 
 def run_link_flap(seed: int = 7) -> Dict:
@@ -193,8 +191,8 @@ def run_link_flap(seed: int = 7) -> Dict:
     The link dies for 30 µs mid-write; endpoint retries (fresh txn ids)
     plus LLC replay ride it out, and the attachment stays put.
     """
-    _events.enable_events()
-    try:
+    log = EventLog()
+    with session(events=log):
         rack, attachment, buffer, monitor, registry = _build_rack(seed)
         data = _payload(seed, buffer.size)
 
@@ -206,7 +204,7 @@ def run_link_flap(seed: int = 7) -> Dict:
         endpoint = rack.node("node0").device.compute
         drained_at = rack.run()
 
-        return _finish("link-flap", rack, attachment, registry, {
+        return _finish(rack, attachment, registry, log, {
             "scenario": "link-flap",
             "seed": seed,
             "verified": readback == data,
@@ -217,14 +215,12 @@ def run_link_flap(seed: int = 7) -> Dict:
             "drained_at_s": drained_at,
             "metrics": registry.snapshot(),
         })
-    finally:
-        _events.disable_events()
 
 
 def run_brownout(seed: int = 7) -> Dict:
     """Degraded-bandwidth window: Bernoulli loss absorbed by replay."""
-    _events.enable_events()
-    try:
+    log = EventLog()
+    with session(events=log):
         rack, attachment, buffer, monitor, registry = _build_rack(seed)
         data = _payload(seed, buffer.size)
 
@@ -246,7 +242,7 @@ def run_brownout(seed: int = 7) -> Dict:
         )
         drained_at = rack.run()
 
-        return _finish("brownout", rack, attachment, registry, {
+        return _finish(rack, attachment, registry, log, {
             "scenario": "brownout",
             "seed": seed,
             "verified": readback == data,
@@ -256,8 +252,6 @@ def run_brownout(seed: int = 7) -> Dict:
             "drained_at_s": drained_at,
             "metrics": registry.snapshot(),
         })
-    finally:
-        _events.disable_events()
 
 
 SCENARIOS: Dict[str, Callable[[int], Dict]] = {

@@ -4,9 +4,9 @@ The sweep engine fans independent :class:`~repro.sweep.RunSpec` runs
 out over a ``ProcessPoolExecutor``. This module holds what its workers
 and its callers share:
 
-* **Tracing hygiene** — a worker forked mid-trace would inherit the
-  parent's live tracer; every worker starts from a clean
-  observability slate.
+* **Telemetry hygiene** — a worker forked inside a telemetry session
+  would inherit the parent's live collectors; every worker starts with
+  all three channels off.
 * **Job-count normalization** — :func:`normalize_jobs` turns
   ``'auto'`` into the CPU count.
 * **Registry capture** — :func:`worker_run_snapshot` is the flattened
@@ -19,7 +19,8 @@ from __future__ import annotations
 import os
 from typing import Dict, Union
 
-from ..obs import MetricsRegistry, disable_tracing
+from ..obs import MetricsRegistry
+from ..obs.switch import all_off
 
 __all__ = [
     "normalize_jobs",
@@ -41,10 +42,11 @@ def normalize_jobs(jobs: Union[int, str, None]) -> int:
 def pool_worker_init() -> None:
     """Initializer every pool worker runs before its first task.
 
-    A worker forked mid-trace would inherit the parent's live tracer;
-    every task must simulate from a clean observability slate.
+    A worker forked inside a telemetry session would inherit the
+    parent's live tracer, journal and profiler; every task must
+    simulate with all three switched off.
     """
-    disable_tracing()
+    all_off()
 
 
 def worker_run_snapshot(pool: str, elapsed_s: float,

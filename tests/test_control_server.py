@@ -20,7 +20,7 @@ from repro.control import (
 )
 from repro.control.api import EVENTS_MAX_LIMIT, ROUTES
 from repro.control.server import ControlServer, ServerConfig, http_request
-from repro.obs import MetricsRegistry, event_logging
+from repro.obs import EventLog, MetricsRegistry, session
 from repro.testbed import Testbed
 
 MIB = 1 << 20
@@ -185,63 +185,57 @@ class TestRouteCatalogue:
 
 
 class TestEventsPagination:
+    @pytest.fixture
     def journal(self):
-        ctx = event_logging()
-        log = ctx.__enter__()
-        testbed = Testbed()
-        for _ in range(3):
-            attachment = testbed.attach("node0", MIB, memory_host="node1")
-            testbed.detach(attachment)
-        api = RestApi(testbed.plane)
-        return ctx, log, api, testbed.admin_token
-
-    def test_cursor_walk_covers_the_journal_exactly_once(self):
-        ctx, log, api, token = self.journal()
-        try:
-            seen = []
-            cursor = 0
-            while True:
-                status, page = api.handle(
-                    "GET", f"/v1/events?since_seq={cursor}&limit=4",
-                    token=token,
+        """A three-attach journal served by the API, inside a session."""
+        log = EventLog()
+        with session(events=log):
+            testbed = Testbed()
+            for _ in range(3):
+                attachment = testbed.attach(
+                    "node0", MIB, memory_host="node1"
                 )
-                assert status == 200
-                if not page["count"]:
-                    break
-                seen.extend(e["seq"] for e in page["events"])
-                assert page["count"] == len(page["events"]) <= 4
-                cursor = page["next_seq"]
-            assert seen == list(range(log.total))
-        finally:
-            ctx.__exit__(None, None, None)
+                testbed.detach(attachment)
+            yield log, RestApi(testbed.plane), testbed.admin_token
 
-    def test_unpaginated_request_keeps_legacy_shape(self):
-        ctx, log, api, token = self.journal()
-        try:
-            status, body = api.handle("GET", "/v1/events", token=token)
-            assert status == 200
-            assert body["total"] == log.total
-            assert body["evicted"] == 0
-            assert len(body["events"]) == log.total
-            assert body["next_seq"] == log.total
-        finally:
-            ctx.__exit__(None, None, None)
-
-    def test_limit_is_validated_and_capped(self):
-        ctx, log, api, token = self.journal()
-        try:
-            status, body = api.handle(
-                "GET", "/v1/events?limit=banana", token=token
-            )
-            assert (status, body["code"]) == (400, "request/invalid")
-            status, body = api.handle(
-                "GET", f"/v1/events?limit={EVENTS_MAX_LIMIT * 10}",
+    def test_cursor_walk_covers_the_journal_exactly_once(self, journal):
+        log, api, token = journal
+        seen = []
+        cursor = 0
+        while True:
+            status, page = api.handle(
+                "GET", f"/v1/events?since_seq={cursor}&limit=4",
                 token=token,
             )
             assert status == 200
-            assert len(body["events"]) <= EVENTS_MAX_LIMIT
-        finally:
-            ctx.__exit__(None, None, None)
+            if not page["count"]:
+                break
+            seen.extend(e["seq"] for e in page["events"])
+            assert page["count"] == len(page["events"]) <= 4
+            cursor = page["next_seq"]
+        assert seen == list(range(log.total))
+
+    def test_unpaginated_request_keeps_legacy_shape(self, journal):
+        log, api, token = journal
+        status, body = api.handle("GET", "/v1/events", token=token)
+        assert status == 200
+        assert body["total"] == log.total
+        assert body["evicted"] == 0
+        assert len(body["events"]) == log.total
+        assert body["next_seq"] == log.total
+
+    def test_limit_is_validated_and_capped(self, journal):
+        _log, api, token = journal
+        status, body = api.handle(
+            "GET", "/v1/events?limit=banana", token=token
+        )
+        assert (status, body["code"]) == (400, "request/invalid")
+        status, body = api.handle(
+            "GET", f"/v1/events?limit={EVENTS_MAX_LIMIT * 10}",
+            token=token,
+        )
+        assert status == 200
+        assert len(body["events"]) <= EVENTS_MAX_LIMIT
 
 
 # -- the async server ---------------------------------------------------------------

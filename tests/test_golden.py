@@ -214,6 +214,26 @@ def _dse_smoke() -> Dict[str, bytes]:
 
 
 @functools.lru_cache(maxsize=None)
+def _telemetry_cli() -> Dict[str, bytes]:
+    """The files ``repro trace stream``, ``repro metrics stream`` and
+    ``repro trace chaos`` write. Transaction ids are rewound before each
+    call, as in a fresh process, so the Chrome trace does not depend on
+    which tests ran first."""
+    files = {}
+    for argv in (
+        ("trace", "stream", "--bytes", "65536"),
+        ("metrics", "stream", "--bytes", "65536"),
+        ("trace", "chaos", "--scenario", "link-kill-failover",
+         "--seed", "7"),
+    ):
+        with tempfile.TemporaryDirectory() as out:
+            reset_txn_ids()
+            _run_main(*argv, "--out", out)
+            files.update(_files(out))
+    return files
+
+
+@functools.lru_cache(maxsize=None)
 def _fig1_reports(units: int):
     return run_fig1_experiment(scaled_trace_config(units=units), units=units)
 
@@ -254,6 +274,9 @@ PRODUCERS: Dict[str, Callable[[str, Any], Artifact]] = {
     "cluster_cli": lambda output, results: Artifact(_cluster_cli()[output]),
     "busy_replay": lambda output, results: Artifact(_busy_replays()[output]),
     "dse_smoke": lambda output, results: Artifact(_dse_smoke()[output]),
+    "telemetry_cli": lambda output, results: Artifact(
+        _telemetry_cli()[output]
+    ),
     "fig1": lambda output, results: Artifact(_fig1(output)),
     "repro_stdout": lambda output, results: Artifact(
         _repro_stdout(output, results).encode()

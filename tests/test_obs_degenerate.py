@@ -95,14 +95,12 @@ class TestIdleProfiler:
         assert json.dumps(profiler.describe())
 
     def test_profiling_a_run_with_no_events(self):
-        from repro.obs import disable_profiling, enable_profiling
+        from repro.obs import session
 
-        enable_profiling(stride=1)
-        try:
+        profiler = SimProfiler(stride=1)
+        with session(profile=profiler):
             sim = Simulator()
             drained_at = sim.run()
-        finally:
-            profiler = disable_profiling()
         assert drained_at == 0.0
         assert profiler.samples_taken == 0
         assert profiler.folded() == ""
@@ -122,22 +120,13 @@ class TestIdleTestbedEndToEnd:
         produces a parseable exposition, a valid (empty) journal, and a
         valid trace document."""
         from repro.mem import MIB
-        from repro.obs import (
-            disable_events,
-            disable_tracing,
-            enable_events,
-            enable_tracing,
-        )
+        from repro.obs import EventLog, Tracer, session
         from repro.testbed import Testbed
 
-        tracer = enable_tracing()
-        enable_events()
-        try:
+        tracer, log = Tracer(), EventLog()
+        with session(trace=tracer, events=log):
             testbed = Testbed()
             testbed.attach("node0", 2 * MIB, memory_host="node1")
-        finally:
-            disable_tracing()
-            log = disable_events()
 
         registry = MetricsRegistry()
         testbed.register_observability(registry)

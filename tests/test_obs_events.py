@@ -11,13 +11,17 @@ from repro.control import RestApi
 from repro.mem import MIB
 from repro.obs import (
     EventLog,
+    SimProfiler,
+    Tracer,
     active_event_log,
-    disable_events,
-    enable_events,
-    event_logging,
+    session,
     validate_event_jsonl,
 )
 from repro.obs import events as events_mod
+from repro.obs import profiler as profiler_mod
+from repro.obs import trace as trace_mod
+from repro.resilience import run_scenario
+from repro.resilience.dse import run_cell
 from repro.testbed import Testbed
 
 
@@ -136,19 +140,17 @@ class TestModuleSwitch:
         assert active_event_log() is None
         events_mod.emit(0.0, "ignored")  # must not raise
 
-    def test_enable_returns_fresh_log_and_disable_hands_it_back(self):
-        log = enable_events(capacity=8)
-        try:
+    def test_session_installs_the_callers_log(self):
+        log = EventLog(capacity=8)
+        with session(events=log):
             assert active_event_log() is log
             events_mod.emit(0.0, "probe")
             assert log.total == 1
-        finally:
-            returned = disable_events()
-        assert returned is log
         assert active_event_log() is None
 
     def test_context_manager_scopes_logging(self):
-        with event_logging() as log:
+        log = EventLog()
+        with session(events=log):
             events_mod.emit(0.0, "inside")
         assert active_event_log() is None
         assert len(log.find("inside")) == 1
@@ -158,7 +160,8 @@ class TestControlPlaneWiring:
     def test_attach_detach_journal(self):
         """Control-plane verbs land in the journal with correlation ids
         and sim-clock timestamps."""
-        with event_logging() as log:
+        log = EventLog()
+        with session(events=log):
             testbed = Testbed()
             attachment = testbed.attach(
                 "node0", 4 * MIB, memory_host="node1"
@@ -181,7 +184,7 @@ class TestControlPlaneWiring:
         assert validate_event_jsonl(log.to_jsonl()) == log.total
 
     def test_events_route_serves_live_journal(self):
-        with event_logging():
+        with session(events=EventLog()):
             testbed = Testbed()
             testbed.attach("node0", 2 * MIB, memory_host="node1")
             api = RestApi(testbed.plane)
@@ -212,12 +215,10 @@ class TestControlPlaneWiring:
 
 class TestCaptureInto:
     def test_redirects_and_restores_switch_state(self):
-        from repro.obs import capture_into
-
         mine = EventLog()
         assert events_mod.ENABLED is False
-        with capture_into(mine) as log:
-            assert log is mine
+        with session(events=mine):
+            assert active_event_log() is mine
             assert events_mod.ENABLED is True
             events_mod.emit(1.0, "inner.tick", n=1)
         assert events_mod.ENABLED is False
@@ -225,16 +226,80 @@ class TestCaptureInto:
         assert [e.kind for e in mine] == ["inner.tick"]
 
     def test_nested_journals_do_not_interleave(self):
-        from repro.obs import capture_into
-
         outer, inner = EventLog(), EventLog()
-        with capture_into(outer):
+        with session(events=outer):
             events_mod.emit(0.0, "outer.a")
-            with capture_into(inner):
+            with session(events=inner):
                 events_mod.emit(1.0, "inner.b")
             events_mod.emit(2.0, "outer.c")
         assert [e.kind for e in outer] == ["outer.a", "outer.c"]
         assert [e.kind for e in inner] == ["inner.b"]
+
+
+def _channels():
+    """The installed collectors and the three hot-path flags."""
+    return (
+        (trace_mod._TRACER, events_mod._LOG, profiler_mod._PROFILER),
+        (trace_mod.ENABLED, events_mod.ENABLED, profiler_mod.ENABLED),
+    )
+
+
+class TestSessionNesting:
+    """A session restores exactly what it changed, so runs that journal
+    into their own log leave the caller's collectors in place."""
+
+    def test_empty_log_still_switches_logging_on(self):
+        log = EventLog()
+        assert len(log) == 0  # falsy, yet a collector
+        with session(events=log):
+            assert events_mod.ENABLED is True
+
+    def test_nested_sessions_restore_the_outer_collectors(self):
+        tracer, outer, profiler = Tracer(), EventLog(), SimProfiler()
+        with session(trace=tracer, events=outer, profile=profiler):
+            before = _channels()
+            with session(trace=Tracer(), events=EventLog(),
+                         profile=SimProfiler()):
+                assert _channels()[0] != before[0]
+            assert _channels() == before
+        assert _channels() == ((None, None, None), (False, False, False))
+
+    def test_nested_session_restores_when_the_block_raises(self):
+        tracer, outer = Tracer(), EventLog()
+        with session(trace=tracer, events=outer):
+            with pytest.raises(RuntimeError, match="boom"):
+                with session(events=EventLog(), profile=SimProfiler()):
+                    raise RuntimeError("boom")
+            assert _channels() == (
+                (tracer, outer, None), (True, True, False)
+            )
+        assert _channels() == ((None, None, None), (False, False, False))
+
+    def test_events_session_inside_a_tracing_session_keeps_tracing(self):
+        tracer = Tracer()
+        with session(trace=tracer):
+            with session(events=EventLog()):
+                assert trace_mod._TRACER is tracer
+                assert trace_mod.ENABLED is True
+            assert trace_mod._TRACER is tracer
+        assert trace_mod._TRACER is None
+
+    def test_scenario_leaves_the_callers_log_installed_and_clean(self):
+        outer = EventLog()
+        with session(events=outer):
+            result = run_scenario("link-flap", seed=7)
+            assert active_event_log() is outer
+            assert events_mod.ENABLED is True
+        assert result["events"], "the scenario journaled nothing"
+        assert outer.total == 0
+
+    def test_dse_cell_leaves_the_callers_log_installed_and_clean(self):
+        outer = EventLog()
+        with session(events=outer):
+            record = run_cell(payload_kib=8, seed=3)
+            assert active_event_log() is outer
+        assert record["events"], "the cell journaled nothing"
+        assert outer.total == 0
 
 
 class TestMergeEventStreams:

@@ -9,13 +9,7 @@ import types
 import pytest
 
 from repro.mem import MIB
-from repro.obs import (
-    SimProfiler,
-    active_profiler,
-    disable_profiling,
-    enable_profiling,
-    profiling,
-)
+from repro.obs import SimProfiler, session
 from repro.obs import profiler as profiler_module
 from repro.obs.profiler import classify_phase
 from repro.sim import Simulator
@@ -124,8 +118,8 @@ class TestSamplingMechanics:
         """The dispatch loop feeds the profiler: a testbed workload at
         stride 1 produces samples across multiple datapath phases and
         attributes the full sim-time span."""
-        profiler = enable_profiling(stride=1)
-        try:
+        profiler = SimProfiler(stride=1)
+        with session(profile=profiler):
             testbed = Testbed()
             attachment = testbed.attach(
                 "node0", 2 * MIB, memory_host="node1"
@@ -133,8 +127,6 @@ class TestSamplingMechanics:
             window = testbed.remote_window_range(attachment)
             testbed.node0.run_store(window.start, bytes(1024))
             testbed.node0.run_load(window.start)
-        finally:
-            assert disable_profiling() is profiler
         assert profiler.samples_taken > 10
         phases = {phase for phase, _name in profiler.stats()}
         assert {"bus", "dram", "endpoint", "link", "llc"} <= phases
@@ -143,8 +135,8 @@ class TestSamplingMechanics:
 
     def test_stride_thins_sampling(self):
         def run(stride):
-            profiler = enable_profiling(stride=stride)
-            try:
+            profiler = SimProfiler(stride=stride)
+            with session(profile=profiler):
                 testbed = Testbed()
                 attachment = testbed.attach(
                     "node0", 2 * MIB, memory_host="node1"
@@ -155,8 +147,6 @@ class TestSamplingMechanics:
                 for offset in range(0, 8192, 128):
                     testbed.node0.store(window.start + offset, bytes(128))
                 testbed.run()
-            finally:
-                disable_profiling()
             return profiler.samples_taken
 
         dense, sparse = run(1), run(64)
@@ -206,7 +196,8 @@ class TestHostTimeAttribution:
 
         total, heavy_s, light_s = run()
         measured = (heavy_s + (total - heavy_s - light_s) / 2) / total
-        with profiling(stride=7) as profiler:
+        profiler = SimProfiler(stride=7)
+        with session(profile=profiler):
             run()
         host = {name: host_s for (_phase, name), (_n, host_s)
                 in profiler.stats().items()}
@@ -284,10 +275,13 @@ class TestReporting:
 
 class TestModuleSwitch:
     def test_disabled_by_default(self):
-        assert active_profiler() is None
+        assert profiler_module.ENABLED is False
+        assert profiler_module._PROFILER is None
 
     def test_context_manager_scopes_profiling(self):
-        with profiling(stride=7) as profiler:
-            assert active_profiler() is profiler
-            assert profiler.stride == 7
-        assert active_profiler() is None
+        profiler = SimProfiler(stride=7)
+        with session(profile=profiler):
+            assert profiler_module.ENABLED is True
+            assert profiler_module._PROFILER is profiler
+        assert profiler_module.ENABLED is False
+        assert profiler_module._PROFILER is None

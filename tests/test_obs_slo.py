@@ -5,11 +5,12 @@ the chaos-scenario integration that CI's breach canary relies on.
 import pytest
 
 from repro.obs import (
+    EventLog,
     MetricsRegistry,
     SloEngine,
     SloSpec,
-    event_logging,
     parse_slo_specs,
+    session,
 )
 from repro.resilience import run_scenario
 from repro.sim import Simulator
@@ -116,7 +117,8 @@ class TestEvaluation:
         engine = SloEngine(parse_slo_specs(
             ["none: health.failovers{component=health} == 0"]
         ))
-        with event_logging() as log:
+        log = EventLog()
+        with session(events=log):
             engine.evaluate(
                 self._registry(), now=4.5e-6,
                 context={"scenario": "unit", "attachment": 9},

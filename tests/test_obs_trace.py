@@ -18,19 +18,12 @@ from repro.obs import (
     chrome_trace,
     disable_tracing,
     enable_tracing,
-    tracing,
+    session,
     validate_chrome_trace,
     write_chrome_trace,
 )
 from repro.obs import trace as trace_mod
 from repro.testbed import Testbed
-
-
-@pytest.fixture(autouse=True)
-def _tracing_off():
-    """Never leak an enabled tracer into other tests."""
-    yield
-    disable_tracing()
 
 
 def _remote_roundtrip():
@@ -42,6 +35,14 @@ def _remote_roundtrip():
     testbed.node0.run_store(window.start, payload)
     assert testbed.node0.run_load(window.start) == payload
     return testbed
+
+
+def _traced_roundtrip(sample_every=1):
+    """:func:`_remote_roundtrip` inside a tracing session."""
+    tracer = Tracer(sample_every=sample_every)
+    with session(trace=tracer):
+        _remote_roundtrip()
+    return tracer
 
 
 def _is_subsequence(needle, haystack):
@@ -75,11 +76,11 @@ FULL_PATH = [
 class TestOffByDefault:
     def test_disabled_flag_and_no_tracer(self):
         assert trace_mod.ENABLED is False
-        assert trace_mod.active_tracer() is None
+        assert trace_mod._TRACER is None
 
     def test_untraced_run_records_nothing(self):
         _remote_roundtrip()
-        assert trace_mod.active_tracer() is None
+        assert trace_mod._TRACER is None
 
     def test_call_site_helpers_are_noops_when_disabled(self):
         # Components guard with `if ENABLED:`, but even an unguarded
@@ -91,18 +92,29 @@ class TestOffByDefault:
         trace_mod.instant("i", 0.0, "t")
 
     def test_context_manager_restores_disabled(self):
-        with tracing() as tracer:
+        tracer = Tracer()
+        with session(trace=tracer):
             assert trace_mod.ENABLED is True
-            assert trace_mod.active_tracer() is tracer
+            assert trace_mod._TRACER is tracer
         assert trace_mod.ENABLED is False
-        assert trace_mod.active_tracer() is None
+        assert trace_mod._TRACER is None
+
+    def test_legacy_switch_still_traces(self):
+        """``enable_tracing``/``disable_tracing`` stay until the
+        benchmark ledger moves to ``session``."""
+        tracer = enable_tracing(sample_every=2)
+        try:
+            assert trace_mod.ENABLED is True
+            _remote_roundtrip()
+        finally:
+            assert disable_tracing() is tracer
+        assert trace_mod.ENABLED is False
+        assert tracer.completed() and tracer.sample_every == 2
 
 
 class TestFullPathReconstruction:
     def test_load_spans_walk_the_whole_stack(self):
-        tracer = enable_tracing()
-        _remote_roundtrip()
-        disable_tracing()
+        tracer = _traced_roundtrip()
         loads = tracer.find(op="load", done=True)
         assert loads, "no completed load was traced"
         record = loads[0]
@@ -111,9 +123,7 @@ class TestFullPathReconstruction:
         )
 
     def test_child_spans_tile_the_end_to_end_latency(self):
-        tracer = enable_tracing()
-        _remote_roundtrip()
-        disable_tracing()
+        tracer = _traced_roundtrip()
         for record in tracer.completed():
             segments = record.segments()
             assert segments
@@ -128,16 +138,12 @@ class TestFullPathReconstruction:
             assert total == pytest.approx(record.latency, rel=0, abs=1e-15)
 
     def test_store_and_load_both_complete(self):
-        tracer = enable_tracing()
-        _remote_roundtrip()
-        disable_tracing()
+        tracer = _traced_roundtrip()
         assert tracer.find(op="store", done=True)
         assert tracer.find(op="load", done=True)
 
     def test_marks_are_time_ordered(self):
-        tracer = enable_tracing()
-        _remote_roundtrip()
-        disable_tracing()
+        tracer = _traced_roundtrip()
         for record in tracer.completed():
             times = [t for t, _stage, _w in record.marks]
             assert times == sorted(times)
@@ -145,25 +151,19 @@ class TestFullPathReconstruction:
 
 class TestChromeExport:
     def test_traced_run_validates(self):
-        tracer = enable_tracing()
-        _remote_roundtrip()
-        disable_tracing()
+        tracer = _traced_roundtrip()
         document = chrome_trace(tracer)
         count = validate_chrome_trace(document)
         assert count > len(tracer.transactions)
 
     def test_required_keys_on_every_event(self):
-        tracer = enable_tracing()
-        _remote_roundtrip()
-        disable_tracing()
+        tracer = _traced_roundtrip()
         for event in chrome_trace(tracer)["traceEvents"]:
             for key in ("ph", "ts", "pid", "name"):
                 assert key in event
 
     def test_transaction_lane_matches_record(self):
-        tracer = enable_tracing()
-        _remote_roundtrip()
-        disable_tracing()
+        tracer = _traced_roundtrip()
         record = tracer.find(op="load", done=True)[0]
         events = [
             e
@@ -179,9 +179,7 @@ class TestChromeExport:
         assert enclosing[0]["dur"] == pytest.approx(record.latency * 1e6)
 
     def test_write_chrome_trace_roundtrips_through_json(self, tmp_path):
-        tracer = enable_tracing()
-        _remote_roundtrip()
-        disable_tracing()
+        tracer = _traced_roundtrip()
         path = tmp_path / "trace.json"
         write_chrome_trace(tracer, str(path))
         loaded = json.loads(path.read_text())
@@ -208,12 +206,8 @@ class TestChromeExport:
 
 class TestSampling:
     def test_one_in_n_traces_fewer_transactions(self):
-        everything = enable_tracing(sample_every=1)
-        _remote_roundtrip()
-        disable_tracing()
-        sampled = enable_tracing(sample_every=1000)
-        _remote_roundtrip()
-        disable_tracing()
+        everything = _traced_roundtrip(sample_every=1)
+        sampled = _traced_roundtrip(sample_every=1000)
         assert len(sampled.transactions) < len(everything.transactions)
         assert sampled.dropped_by_sampling > 0
 
@@ -234,10 +228,10 @@ class TestEngineSpan:
         sim = Simulator()
         sim.schedule(1e-6, lambda: None)
         sim.run()
-        tracer = enable_tracing()
-        sim.schedule(1e-6, lambda: None)
-        sim.run()
-        disable_tracing()
+        tracer = Tracer()
+        with session(trace=tracer):
+            sim.schedule(1e-6, lambda: None)
+            sim.run()
         spans = [s for s in tracer.spans if s.name == "sim.run"]
         assert len(spans) == 1
         assert spans[0].args["events"] >= 1

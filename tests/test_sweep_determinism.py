@@ -234,3 +234,18 @@ class TestSharedBootstrap:
         busy = [v for k, v in snap.items()
                 if k.startswith("sweep.worker.busy_s")]
         assert runs == [1.0] and busy == [0.25]
+
+    def test_pool_workers_start_with_every_channel_off(self):
+        """A pool forked inside a session must not inherit its
+        collectors: each worker switches all three channels off."""
+        from repro.obs import EventLog, SimProfiler, Tracer, session
+
+        engine = SweepEngine(jobs=2, cache=False)
+        specs = [
+            make_spec("py:sweep_targets:obs_channels", tag=tag)
+            for tag in (1, 2)
+        ]
+        with session(trace=Tracer(), events=EventLog(),
+                     profile=SimProfiler()):
+            outcomes = engine.run(specs)
+        assert [o.value for o in outcomes] == [(False, False, False)] * 2
