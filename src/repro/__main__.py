@@ -187,6 +187,15 @@ _TRACE_WORKLOADS = {
 }
 
 
+def _build_trace_workload(workload: str, nbytes: int):
+    """Run a traced workload from transaction id 1, as a fresh process
+    would, so its artifacts do not depend on what ran before."""
+    from .opencapi.transactions import reset_txn_ids
+
+    reset_txn_ids()
+    return _TRACE_WORKLOADS[workload](nbytes)
+
+
 def _trace_arguments(parser: argparse.ArgumentParser) -> None:
     from .resilience import SCENARIOS
 
@@ -241,7 +250,7 @@ def _run_trace(args, parser) -> int:
     os.makedirs(args.out, exist_ok=True)
     tracer = Tracer(sample_every=args.sample)
     with session(trace=tracer):
-        testbed = _TRACE_WORKLOADS[args.workload](args.nbytes)
+        testbed = _build_trace_workload(args.workload, args.nbytes)
     registry = MetricsRegistry()
     testbed.register_observability(registry)
 
@@ -362,7 +371,7 @@ def _run_metrics(args, parser) -> int:
     # SLOs are evaluated inside the session so breach events land in
     # the journal with the workload as correlation context.
     with session(events=log, profile=profiler):
-        testbed = _TRACE_WORKLOADS[args.workload](args.nbytes)
+        testbed = _build_trace_workload(args.workload, args.nbytes)
         registry = MetricsRegistry()
         testbed.register_observability(registry)
         report = None

@@ -220,6 +220,8 @@ class RackDomain:
         self.config = config
         self.horizon = horizon
         self._log = EventLog(capacity=config.journal_capacity)
+        #: Entered once per sync window: routes events into this rack's log.
+        self._journal = session(events=self._log)
         spec = NodeSpec(dram_bytes=config.node_dram_bytes)
         self.testbed = PacketRackTestbed(
             nodes=config.nodes_per_rack, spec=spec
@@ -274,7 +276,7 @@ class RackDomain:
     def advance(self, window_end: float,
                 inbox: List[DomainMessage]) -> List[DomainMessage]:
         self._outbox = []
-        with session(events=self._log):
+        with self._journal:
             for message in inbox:
                 self.sim.schedule_at(
                     message.deliver_t, self._on_message, message

@@ -9,6 +9,7 @@ migration) and the performance model agree on cost.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -84,6 +85,11 @@ class NumaTopology:
     def __init__(self):
         self._nodes: Dict[int, NumaNode] = {}
         self._distance: Dict[Tuple[int, int], int] = {}
+        #: Node ids, and the ids of nodes with CPUs, kept sorted as
+        #: nodes come and go: detach keeps emptied CPU-less nodes, so
+        #: re-sorting on every query grows with attach history.
+        self._ids: List[int] = []
+        self._cpu_ids: List[int] = []
 
     # -- construction -----------------------------------------------------------
     def add_node(self, node: NumaNode) -> NumaNode:
@@ -91,10 +97,16 @@ class NumaTopology:
             raise ValueError(f"duplicate node id {node.node_id}")
         self._nodes[node.node_id] = node
         self._distance[(node.node_id, node.node_id)] = LOCAL_DISTANCE
+        insort(self._ids, node.node_id)
+        if not node.is_cpuless:
+            insort(self._cpu_ids, node.node_id)
         return node
 
     def remove_node(self, node_id: int) -> NumaNode:
         node = self._nodes.pop(node_id)
+        self._ids.remove(node_id)
+        if node_id in self._cpu_ids:
+            self._cpu_ids.remove(node_id)
         self._distance = {
             key: value
             for key, value in self._distance.items()
@@ -121,14 +133,14 @@ class NumaTopology:
 
     @property
     def node_ids(self) -> List[int]:
-        return sorted(self._nodes)
+        return list(self._ids)
 
     @property
     def nodes(self) -> List[NumaNode]:
-        return [self._nodes[i] for i in self.node_ids]
+        return [self._nodes[i] for i in self._ids]
 
     def cpu_nodes(self) -> List[NumaNode]:
-        return [n for n in self.nodes if not n.is_cpuless]
+        return [self._nodes[i] for i in self._cpu_ids]
 
     def memory_nodes(self) -> List[NumaNode]:
         return [n for n in self.nodes if n.memory_bytes > 0]

@@ -12,8 +12,7 @@ Stdlib-only, like the rest of ``repro.obs``.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Optional
 
 from . import events as _events
 from . import profiler as _profiler
@@ -38,13 +37,7 @@ def _install(channel, collector) -> None:
     module.ENABLED = collector is not None
 
 
-@contextmanager
-def session(
-    *,
-    trace: Optional[Tracer] = None,
-    events: Optional[EventLog] = None,
-    profile: Optional[SimProfiler] = None,
-) -> Iterator[None]:
+class session:
     """Route telemetry into the given collectors for the block.
 
     Each collector given is installed; a channel given none keeps what
@@ -52,16 +45,35 @@ def session(
     traced block leaves tracing on. On exit, also on an exception,
     every channel the session changed gets its previous collector back,
     so sessions nest.
+
+    A plain class, not a generator context manager, so one session can
+    be built once and entered many times: a rack domain enters its
+    journal once per sync window.
     """
-    saved = []
-    for channel, collector in zip(_CHANNELS, (trace, events, profile)):
-        if collector is not None:
-            saved.append((channel, getattr(*channel)))
-            _install(channel, collector)
-    try:
-        yield
-    finally:
-        for channel, collector in saved:
+
+    __slots__ = ("_collectors", "_saved")
+
+    def __init__(
+        self,
+        *,
+        trace: Optional[Tracer] = None,
+        events: Optional[EventLog] = None,
+        profile: Optional[SimProfiler] = None,
+    ):
+        self._collectors = (trace, events, profile)
+        #: One list of (channel, previous collector) per open block.
+        self._saved: list = []
+
+    def __enter__(self) -> None:
+        saved = []
+        for channel, collector in zip(_CHANNELS, self._collectors):
+            if collector is not None:
+                saved.append((channel, getattr(*channel)))
+                _install(channel, collector)
+        self._saved.append(saved)
+
+    def __exit__(self, *exc_info) -> None:
+        for channel, collector in self._saved.pop():
             _install(channel, collector)
 
 

@@ -118,8 +118,7 @@ class LinuxKernel:
         )
         for other, distance in (distances or {}).items():
             self.topology.set_distance(node_id, other, distance)
-        for section in self.sparse.probe(physical.start, physical.size):
-            self.sparse.online(section.index, node_id)
+        self.sparse.probe_online(physical.start, physical.size, node_id)
         self.pages.add_range(node_id, physical)
         return node
 

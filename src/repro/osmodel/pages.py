@@ -10,6 +10,14 @@ paper's configurations map to —
   alternating on a 50/50 basis pages from the two NUMA nodes", §VI-C),
 * ``preferred`` → try one node, fall back by distance,
 * ``bind`` → restricted node set, allocation fails when exhausted.
+
+Each node's free list is an ordered deque of ``(first_pfn, count)``
+runs. Read head to tail and expanded, the runs are the per-frame free
+order: allocation takes from the head, ``free`` puts a frame back at
+the head and onlining or unpinning appends at the tail. Onlining a node
+is one run, not one entry per frame, so bring-up and contiguous pinning
+cost O(runs), not O(page frames), while every PFN handed out stays the
+one a per-frame list would hand out.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..mem.address import AddressError, AddressRange
 
@@ -25,6 +33,9 @@ __all__ = ["PagePolicy", "Page", "PageAllocator", "OutOfMemory"]
 
 #: ppc64 kernels use 64 KiB base pages.
 DEFAULT_PAGE_BYTES = 64 * 1024
+
+#: ``count`` consecutive free frames starting at ``first_pfn``.
+Run = Tuple[int, int]
 
 
 class OutOfMemory(MemoryError):
@@ -52,6 +63,51 @@ class Page:
         return AddressRange(self.address, self.page_bytes)
 
 
+def _append_run(runs: Deque[Run], first: int, count: int) -> None:
+    """Append a run at the tail, merging it into the tail run."""
+    if runs:
+        tail_first, tail_count = runs[-1]
+        if tail_first + tail_count == first:
+            runs[-1] = (tail_first, tail_count + count)
+            return
+    runs.append((first, count))
+
+
+def _split_runs(
+    runs: Deque[Run], lo: int, hi: int
+) -> Tuple[Deque[Run], List[Run]]:
+    """Cut PFNs ``[lo, hi)`` out of ``runs``, keeping the order of both.
+
+    Returns the runs left and the runs cut out.
+    """
+    kept: Deque[Run] = deque()
+    cut: List[Run] = []
+    for first, count in runs:
+        end = first + count
+        inner_lo, inner_hi = max(first, lo), min(end, hi)
+        if inner_lo >= inner_hi:
+            _append_run(kept, first, count)
+            continue
+        if first < inner_lo:
+            _append_run(kept, first, inner_lo - first)
+        cut.append((inner_lo, inner_hi - inner_lo))
+        if inner_hi < end:
+            _append_run(kept, inner_hi, end - inner_hi)
+    return kept, cut
+
+
+def _lowest_fit(runs: Deque[Run], count: int) -> Optional[int]:
+    """First PFN of the lowest-addressed ``count`` consecutive free frames."""
+    start = end = -1
+    for first, length in sorted(runs):
+        if first != end:
+            start = first
+        end = first + length
+        if end - start >= count:
+            return start
+    return None
+
+
 class PageAllocator:
     """Per-node free lists over section-backed physical ranges."""
 
@@ -61,11 +117,13 @@ class PageAllocator:
                 f"page_bytes must be a power of two: {page_bytes}"
             )
         self.page_bytes = page_bytes
-        self._free: Dict[int, Deque[int]] = {}
+        self._free: Dict[int, Deque[Run]] = {}
         self._allocated: Dict[int, set] = {}
         self._interleave_next = 0
         self.allocated_pages: Dict[int, int] = {}
-        self._pinned_runs: Dict[int, tuple] = {}
+        #: Pinned runs by first PFN: ``(node_id, count)``. Their frames
+        #: count as allocated without being listed one by one.
+        self._pinned_runs: Dict[int, Tuple[int, int]] = {}
 
     # -- feeding the allocator ------------------------------------------------------
     def add_range(self, node_id: int, physical: AddressRange) -> int:
@@ -76,10 +134,8 @@ class PageAllocator:
                 f"{self.page_bytes:#x}-byte page size"
             )
         free = self._free.setdefault(node_id, deque())
-        first_pfn = physical.start // self.page_bytes
         count = physical.size // self.page_bytes
-        for pfn in range(first_pfn, first_pfn + count):
-            free.append(pfn)
+        _append_run(free, physical.start // self.page_bytes, count)
         self.allocated_pages.setdefault(node_id, 0)
         return count
 
@@ -90,15 +146,13 @@ class PageAllocator:
         still allocated inside the range must be migrated first — the
         caller (hotplug) is responsible for that ordering.
         """
-        free = self._free.get(node_id, deque())
-        captured, kept = [], deque()
-        for pfn in free:
-            if physical.contains(pfn * self.page_bytes):
-                captured.append(pfn)
-            else:
-                kept.append(pfn)
+        # Frames whose first byte lies in the range.
+        lo = -(-physical.start // self.page_bytes)
+        hi = -(-physical.end // self.page_bytes)
+        kept, cut = _split_runs(self._free.get(node_id, deque()), lo, hi)
         self._free[node_id] = kept
-        return captured
+        return [pfn for first, count in cut
+                for pfn in range(first, first + count)]
 
     # -- allocation -------------------------------------------------------------------
     def allocate(
@@ -138,8 +192,13 @@ class PageAllocator:
 
     def free(self, pages: Sequence[Page]) -> None:
         for page in pages:
-            self._free.setdefault(page.node_id, deque()).appendleft(page.pfn)
-            self._allocated.get(page.node_id, set()).discard(page.pfn)
+            free = self._free.setdefault(page.node_id, deque())
+            pfn = page.pfn
+            if free and free[0][0] == pfn + 1:
+                free[0] = (pfn, free[0][1] + 1)
+            else:
+                free.appendleft((pfn, 1))
+            self._allocated.get(page.node_id, set()).discard(pfn)
             self.allocated_pages[page.node_id] -= 1
 
     # -- internals ------------------------------------------------------------------
@@ -165,7 +224,11 @@ class PageAllocator:
         free = self._free.get(node_id)
         if not free:
             return None
-        pfn = free.popleft()
+        pfn, count = free[0]
+        if count == 1:
+            free.popleft()
+        else:
+            free[0] = (pfn + 1, count - 1)
         self.allocated_pages[node_id] = self.allocated_pages.get(node_id, 0) + 1
         self._allocated.setdefault(node_id, set()).add(pfn)
         return Page(
@@ -193,40 +256,30 @@ class PageAllocator:
     def take_contiguous(self, node_id: int, count: int) -> AddressRange:
         """Carve a run of ``count`` consecutive free frames off a node.
 
-        Returns the pinned physical range; raises :class:`OutOfMemory`
-        when no sufficiently long run exists (fragmentation).
+        Takes the lowest-addressed such run. Returns the pinned physical
+        range; raises :class:`OutOfMemory` when no sufficiently long run
+        exists (fragmentation).
         """
         if count < 1:
             raise AddressError(f"count must be >= 1: {count}")
         free = self._free.get(node_id)
-        if not free or len(free) < count:
+        available = self.free_pages(node_id)
+        if available < count:
             raise OutOfMemory(
-                f"node {node_id}: {0 if not free else len(free)} free pages, "
+                f"node {node_id}: {available} free pages, "
                 f"need {count} contiguous"
             )
-        ordered = sorted(free)
-        run_start = 0
-        for i in range(1, len(ordered) + 1):
-            if i == len(ordered) or ordered[i] != ordered[i - 1] + 1:
-                if i - run_start >= count:
-                    chosen = set(ordered[run_start : run_start + count])
-                    self._free[node_id] = deque(
-                        pfn for pfn in free if pfn not in chosen
-                    )
-                    allocated = self._allocated.setdefault(node_id, set())
-                    allocated.update(chosen)
-                    self.allocated_pages[node_id] = (
-                        self.allocated_pages.get(node_id, 0) + count
-                    )
-                    base = ordered[run_start]
-                    self._pinned_runs[base] = (node_id, count)
-                    return AddressRange(
-                        base * self.page_bytes, count * self.page_bytes
-                    )
-                run_start = i
-        raise OutOfMemory(
-            f"node {node_id}: no contiguous run of {count} pages"
+        base = _lowest_fit(free, count)
+        if base is None:
+            raise OutOfMemory(
+                f"node {node_id}: no contiguous run of {count} pages"
+            )
+        self._free[node_id], _ = _split_runs(free, base, base + count)
+        self.allocated_pages[node_id] = (
+            self.allocated_pages.get(node_id, 0) + count
         )
+        self._pinned_runs[base] = (node_id, count)
+        return AddressRange(base * self.page_bytes, count * self.page_bytes)
 
     def release_contiguous(self, pinned: AddressRange) -> None:
         base = pinned.start // self.page_bytes
@@ -234,25 +287,24 @@ class PageAllocator:
             node_id, count = self._pinned_runs.pop(base)
         except KeyError:
             raise AddressError(f"range {pinned!r} was not pinned") from None
-        free = self._free.setdefault(node_id, deque())
-        allocated = self._allocated.setdefault(node_id, set())
-        for pfn in range(base, base + count):
-            allocated.discard(pfn)
-            free.append(pfn)
+        _append_run(self._free.setdefault(node_id, deque()), base, count)
         self.allocated_pages[node_id] -= count
 
     # -- accounting -------------------------------------------------------------------
     def has_allocated_in(self, node_id: int, physical: AddressRange) -> bool:
         """True when any allocated frame lies inside ``physical``."""
-        allocated = self._allocated.get(node_id, set())
         first = physical.start // self.page_bytes
         last = (physical.end - 1) // self.page_bytes
+        for base, (pinned_node, count) in self._pinned_runs.items():
+            if pinned_node == node_id and base <= last and first < base + count:
+                return True
+        allocated = self._allocated.get(node_id, set())
         if len(allocated) < (last - first + 1):
             return any(first <= pfn <= last for pfn in allocated)
         return any(pfn in allocated for pfn in range(first, last + 1))
 
     def free_pages(self, node_id: int) -> int:
-        return len(self._free.get(node_id, ()))
+        return sum(count for _, count in self._free.get(node_id, ()))
 
     def nodes(self) -> List[int]:
         return sorted(self._free)

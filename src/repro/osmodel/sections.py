@@ -13,7 +13,6 @@ the control plane allocates donor memory in section multiples.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
 from ..mem.address import AddressError, AddressRange, DEFAULT_SECTION_BYTES
@@ -30,18 +29,38 @@ class SectionState(enum.Enum):
     GOING_OFFLINE = "going_offline"  #: being evacuated for removal
 
 
-@dataclass
 class MemorySection:
-    """One sparse-memory section."""
+    """One sparse-memory section; its ``range`` is built on demand."""
 
-    index: int
-    range: AddressRange
-    state: SectionState = SectionState.OFFLINE
-    numa_node: Optional[int] = None
+    __slots__ = ("index", "section_bytes", "state", "numa_node")
+
+    def __init__(
+        self,
+        index: int,
+        section_bytes: int,
+        state: SectionState = SectionState.OFFLINE,
+        numa_node: Optional[int] = None,
+    ):
+        self.index = index
+        self.section_bytes = section_bytes
+        self.state = state
+        self.numa_node = numa_node
+
+    @property
+    def range(self) -> AddressRange:
+        return AddressRange(
+            self.index * self.section_bytes, self.section_bytes
+        )
 
     @property
     def online(self) -> bool:
         return self.state is SectionState.ONLINE
+
+    def __repr__(self) -> str:
+        return (
+            f"MemorySection({self.index}, {self.range!r}, "
+            f"{self.state.value}, numa_node={self.numa_node})"
+        )
 
 
 class SparseMemoryModel:
@@ -77,6 +96,24 @@ class SparseMemoryModel:
         Both bounds must be section-aligned, exactly like
         ``/sys/devices/system/memory/probe``.
         """
+        return self._create(start, size, SectionState.OFFLINE, None)
+
+    def probe_online(
+        self, start: int, size: int, numa_node: int
+    ) -> List[MemorySection]:
+        """:meth:`probe` and :meth:`online` every new section, in one pass.
+
+        Boot memory takes this path: its sections come up online.
+        """
+        return self._create(start, size, SectionState.ONLINE, numa_node)
+
+    def _create(
+        self,
+        start: int,
+        size: int,
+        state: SectionState,
+        numa_node: Optional[int],
+    ) -> List[MemorySection]:
         if start % self.section_bytes or size % self.section_bytes:
             raise AddressError(
                 f"probe [{start:#x}, +{size:#x}) not aligned to "
@@ -85,15 +122,15 @@ class SparseMemoryModel:
         if size <= 0:
             raise AddressError(f"probe size must be > 0: {size}")
         first = self.index_of(start)
-        count = size // self.section_bytes
-        created: List[MemorySection] = []
-        for index in range(first, first + count):
-            if index in self._sections:
-                raise AddressError(f"section {index} already present")
-        for index in range(first, first + count):
-            section = MemorySection(index, self.range_of(index))
-            self._sections[index] = section
-            created.append(section)
+        indices = range(first, first + size // self.section_bytes)
+        if not self._sections.keys().isdisjoint(indices):
+            index = next(i for i in indices if i in self._sections)
+            raise AddressError(f"section {index} already present")
+        created = [
+            MemorySection(index, self.section_bytes, state, numa_node)
+            for index in indices
+        ]
+        self._sections.update(zip(indices, created))
         return created
 
     def remove(self, index: int) -> MemorySection:

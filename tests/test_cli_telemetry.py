@@ -141,3 +141,24 @@ class TestTraceChaosMode:
         assert snapshot["health.failures_observed{component=health}"] >= 1
         # The deliberate zero-faults canary breached; the rest held.
         assert "SLOs: 3/4 ok" in out
+
+
+class TestRepeatableArtifacts:
+    """Each command starts from transaction id 1, so a second run in the
+    same process writes the same bytes as the first."""
+
+    @pytest.mark.parametrize("command", ["trace", "metrics"])
+    def test_two_runs_write_identical_files(self, command, tmp_path):
+        runs = []
+        for name in ("first", "second"):
+            out_dir = tmp_path / name
+            code, _out = _run([
+                command, "stream", "--bytes", "16384",
+                "--out", str(out_dir),
+            ])
+            assert code == 0
+            runs.append({
+                path.name: path.read_bytes()
+                for path in sorted(out_dir.iterdir())
+            })
+        assert runs[0] and runs[0] == runs[1]

@@ -216,9 +216,8 @@ def _dse_smoke() -> Dict[str, bytes]:
 @functools.lru_cache(maxsize=None)
 def _telemetry_cli() -> Dict[str, bytes]:
     """The files ``repro trace stream``, ``repro metrics stream`` and
-    ``repro trace chaos`` write. Transaction ids are rewound before each
-    call, as in a fresh process, so the Chrome trace does not depend on
-    which tests ran first."""
+    ``repro trace chaos`` write. Each command rewinds transaction ids
+    itself, so the files do not depend on which tests ran first."""
     files = {}
     for argv in (
         ("trace", "stream", "--bytes", "65536"),
@@ -227,7 +226,6 @@ def _telemetry_cli() -> Dict[str, bytes]:
          "--seed", "7"),
     ):
         with tempfile.TemporaryDirectory() as out:
-            reset_txn_ids()
             _run_main(*argv, "--out", out)
             files.update(_files(out))
     return files
