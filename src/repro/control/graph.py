@@ -5,8 +5,9 @@ compute and memory endpoints, transceivers associated with each
 endpoint and switch ports. The edges of the graph are instead the
 possible physical links between nodes."
 
-The production prototype keeps this in Janusgraph; here networkx plays
-that role (same model, embedded instead of distributed).
+The production prototype keeps this in Janusgraph; here two plain
+dicts on :class:`StateGraph` play that role (same model, embedded
+instead of distributed).
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import ReproError
-
-import networkx as nx
 
 __all__ = ["NodeKind", "StateGraph", "GraphError"]
 
@@ -44,16 +43,39 @@ class StateGraph:
     attribute — how many concurrent flows they can carry — and a
     ``reserved`` counter maintained by the planner.
 
+    ``nodes`` (node -> attributes) and ``adj`` (node -> neighbor ->
+    edge attributes, neighbors in the order their edges were added) are
+    for reading: wiring changes go through ``add_host``/``add_switch``/
+    ``add_cable`` so that ``topology_version`` moves with them. A node
+    or edge added again keeps its place and has its attributes updated.
+
     ``topology_version`` counts wiring changes (hosts, switches,
     cables); reservations leave it alone. Anything derived from the
     wiring alone may be cached against it.
     """
 
     def __init__(self):
-        self._graph = nx.Graph()
+        self.nodes: Dict[str, Dict] = {}
+        self.adj: Dict[str, Dict[str, Dict]] = {}
         self.topology_version = 0
         self._hosts: Tuple[str, ...] = ()
         self._hosts_version = -1
+
+    # -- graph primitives ------------------------------------------------------------
+    def _add_node(self, node: str, **attrs) -> None:
+        if node in self.nodes:
+            self.nodes[node].update(attrs)
+        else:
+            self.nodes[node] = attrs
+            self.adj[node] = {}
+
+    def _add_edge(self, a: str, b: str, **attrs) -> None:
+        data = self.adj[a].get(b)
+        if data is None:
+            # One attribute dict shared by both directions.
+            self.adj[a][b] = self.adj[b][a] = attrs
+        else:
+            data.update(attrs)
 
     # -- node registration -----------------------------------------------------------
     def add_host(
@@ -65,10 +87,10 @@ class StateGraph:
     ) -> None:
         """Register one host: endpoints + its transceiver fan-out."""
         cep, mep = self.cep(host), self.mep(host)
-        if self._graph.has_node(cep):
+        if cep in self.nodes:
             raise GraphError(f"host {host!r} already registered")
-        self._graph.add_node(cep, kind=NodeKind.COMPUTE_ENDPOINT, host=host)
-        self._graph.add_node(
+        self._add_node(cep, kind=NodeKind.COMPUTE_ENDPOINT, host=host)
+        self._add_node(
             mep,
             kind=NodeKind.MEMORY_ENDPOINT,
             host=host,
@@ -77,7 +99,7 @@ class StateGraph:
         )
         for index in range(transceivers):
             xcvr = self.xcvr(host, index)
-            self._graph.add_node(
+            self._add_node(
                 xcvr,
                 kind=NodeKind.TRANSCEIVER,
                 host=host,
@@ -87,14 +109,14 @@ class StateGraph:
             )
             # Internal links: both endpoint roles can reach every local
             # transceiver.
-            self._graph.add_edge(cep, xcvr, internal=True)
-            self._graph.add_edge(mep, xcvr, internal=True)
+            self._add_edge(cep, xcvr, internal=True)
+            self._add_edge(mep, xcvr, internal=True)
         self.topology_version += 1
 
     def add_switch(self, switch: str, ports: int, port_capacity: int = 64) -> None:
         for index in range(ports):
             port = self.switch_port(switch, index)
-            self._graph.add_node(
+            self._add_node(
                 port,
                 kind=NodeKind.SWITCH_PORT,
                 switch=switch,
@@ -105,7 +127,7 @@ class StateGraph:
         # Any-to-any inside the switch fabric.
         for a in range(ports):
             for b in range(a + 1, ports):
-                self._graph.add_edge(
+                self._add_edge(
                     self.switch_port(switch, a),
                     self.switch_port(switch, b),
                     internal=True,
@@ -115,12 +137,12 @@ class StateGraph:
     def add_cable(self, end_a: str, end_b: str) -> None:
         """A physical link between two transceivers / switch ports."""
         for end in (end_a, end_b):
-            if not self._graph.has_node(end):
+            if end not in self.nodes:
                 raise GraphError(f"unknown graph node {end!r}")
-            kind = self._graph.nodes[end]["kind"]
+            kind = self.nodes[end]["kind"]
             if kind not in (NodeKind.TRANSCEIVER, NodeKind.SWITCH_PORT):
                 raise GraphError(f"cannot cable a {kind.value} node")
-        self._graph.add_edge(end_a, end_b, internal=False)
+        self._add_edge(end_a, end_b, internal=False)
         self.topology_version += 1
 
     # -- naming helpers ----------------------------------------------------------------
@@ -141,19 +163,12 @@ class StateGraph:
         return f"{switch}/p{index}"
 
     # -- queries --------------------------------------------------------------------------
-    @property
-    def graph(self) -> nx.Graph:
-        """The underlying graph, for reading: wiring changes go through
-        ``add_host``/``add_switch``/``add_cable`` so that
-        ``topology_version`` moves with them."""
-        return self._graph
-
     def hosts(self) -> List[str]:
         if self._hosts_version != self.topology_version:
             self._hosts = tuple(sorted(
                 {
                     data["host"]
-                    for _node, data in self._graph.nodes(data=True)
+                    for _node, data in self.nodes.items()
                     if data["kind"] is NodeKind.COMPUTE_ENDPOINT
                 }
             ))
@@ -162,19 +177,19 @@ class StateGraph:
 
     def node_attr(self, node: str, key: str):
         try:
-            return self._graph.nodes[node][key]
+            return self.nodes[node][key]
         except KeyError:
             raise GraphError(f"node {node!r} has no attribute {key!r}") from None
 
     def transceivers(self, host: str) -> List[str]:
         return sorted(
             node
-            for node, data in self._graph.nodes(data=True)
+            for node, data in self.nodes.items()
             if data["kind"] is NodeKind.TRANSCEIVER and data.get("host") == host
         )
 
     def free_capacity(self, node: str) -> int:
-        data = self._graph.nodes[node]
+        data = self.nodes[node]
         return data["capacity"] - data["reserved"]
 
     # -- reservations -------------------------------------------------------------------
@@ -184,18 +199,18 @@ class StateGraph:
             if self.free_capacity(node) < 1:
                 raise GraphError(f"{node}: no free capacity")
         for node in nodes:
-            self._graph.nodes[node]["reserved"] += 1
+            self.nodes[node]["reserved"] += 1
 
     def release(self, nodes: Iterable[str]) -> None:
         for node in nodes:
-            data = self._graph.nodes[node]
+            data = self.nodes[node]
             if data["reserved"] <= 0:
                 raise GraphError(f"{node}: release without reservation")
             data["reserved"] -= 1
 
     # -- donor capacity accounting ----------------------------------------------------------
     def reserve_donor_memory(self, host: str, size: int) -> None:
-        data = self._graph.nodes[self.mep(host)]
+        data = self.nodes[self.mep(host)]
         if data["donor_used"] + size > data["donor_capacity"]:
             raise GraphError(
                 f"{host}: donor capacity exhausted "
@@ -204,13 +219,13 @@ class StateGraph:
         data["donor_used"] += size
 
     def release_donor_memory(self, host: str, size: int) -> None:
-        data = self._graph.nodes[self.mep(host)]
+        data = self.nodes[self.mep(host)]
         if data["donor_used"] < size:
             raise GraphError(f"{host}: donor release underflow")
         data["donor_used"] -= size
 
     def donor_free(self, host: str) -> int:
-        data = self._graph.nodes[self.mep(host)]
+        data = self.nodes[self.mep(host)]
         return data["donor_capacity"] - data["donor_used"]
 
     def snapshot(self) -> Dict[str, Dict]:
@@ -224,5 +239,5 @@ class StateGraph:
                     if key != "kind"
                 },
             }
-            for node, data in sorted(self._graph.nodes(data=True))
+            for node, data in sorted(self.nodes.items())
         }

@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from .graph import GraphError, NodeKind, StateGraph
 
 __all__ = ["PathPlanner", "PlannedPath", "NoPathError"]
@@ -31,17 +29,17 @@ _MAX_HOPS = 6
 
 
 def _endpoint_free_paths(
-    graph: nx.Graph, source: str, target: str
+    state: StateGraph, source: str, target: str
 ) -> Tuple[Tuple[str, ...], ...]:
     """Simple source→target paths of at most ``_MAX_HOPS`` edges that
     do not tunnel through any other endpoint.
 
-    The same depth-first walk as ``nx.all_simple_paths`` (neighbors in
-    adjacency order), so the paths come out in the order it yields
+    A depth-first walk with neighbors in adjacency order, so the paths
+    come out in the order networkx's ``all_simple_paths`` would yield
     them; a branch is cut where it enters another endpoint rather than
     enumerated and filtered afterwards.
     """
-    nodes, adjacency = graph.nodes, graph.adj
+    nodes, adjacency = state.nodes, state.adj
     paths = []
     path = [source]
 
@@ -112,10 +110,10 @@ class PathPlanner:
         ``topology_version`` moves, so the enumeration is cached per
         endpoint pair and dropped on the next version.
         """
-        graph = self.state.graph
+        nodes = self.state.nodes
         source = self.state.cep(compute_host)
         target = self.state.mep(memory_host)
-        if not graph.has_node(source) or not graph.has_node(target):
+        if source not in nodes or target not in nodes:
             raise NoPathError(
                 f"unknown endpoint(s): {compute_host!r} / {memory_host!r}"
             )
@@ -126,7 +124,7 @@ class PathPlanner:
         paths = self._wired.get(key)
         if paths is None:
             paths = self._wired[key] = _endpoint_free_paths(
-                graph, source, target
+                self.state, source, target
             )
         return paths
 

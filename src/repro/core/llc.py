@@ -22,7 +22,6 @@ stack exactly as specified:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Tuple
 
@@ -81,9 +80,6 @@ class LlcConfig:
         return self.flits_per_frame * FLIT_BYTES + FRAME_HEADER_BYTES
 
 
-_frame_seq = itertools.count()
-
-
 @dataclass
 class Frame:
     """One LLC frame on the wire."""
@@ -100,7 +96,6 @@ class Frame:
     is_replay: bool = False
     wire_bytes: int = 0
     sent_at: float = 0.0
-    uid: int = field(default_factory=lambda: next(_frame_seq))
 
     @property
     def is_control(self) -> bool:
@@ -553,8 +548,15 @@ class LlcEndpoint:
             self._credits.grant(frame.credit_grant - self._grants_seen)
             self._grants_seen = frame.credit_grant
         if frame.ack_id is not None:
-            for frame_id in [f for f in self._retention if f <= frame.ack_id]:
-                del self._retention[frame_id]
+            # Retention is keyed in frame-id order (a replay refreshes
+            # its entry in place), so the acknowledged frames are the
+            # oldest ones.
+            retention = self._retention
+            while retention:
+                oldest = next(iter(retention))
+                if oldest > frame.ack_id:
+                    break
+                del retention[oldest]
 
     def _request_replay(self) -> None:
         # One outstanding request per gap: further out-of-order arrivals

@@ -62,7 +62,11 @@ class NumaNode:
         self.free_bytes += size
 
     def resize(self, new_memory_bytes: int) -> None:
-        """Grow/shrink capacity (hotplug adds memory to a node)."""
+        """Grow/shrink capacity (hotplug adds memory to a node).
+
+        A node in a :class:`NumaTopology` is resized through
+        :meth:`NumaTopology.resize`.
+        """
         used = self.memory_bytes - self.free_bytes
         if new_memory_bytes < used:
             raise ValueError(
@@ -85,11 +89,13 @@ class NumaTopology:
     def __init__(self):
         self._nodes: Dict[int, NumaNode] = {}
         self._distance: Dict[Tuple[int, int], int] = {}
-        #: Node ids, and the ids of nodes with CPUs, kept sorted as
-        #: nodes come and go: detach keeps emptied CPU-less nodes, so
-        #: re-sorting on every query grows with attach history.
+        #: Node ids, the ids of nodes with CPUs and the ids of nodes
+        #: with memory, kept sorted as nodes come, go and resize: detach
+        #: keeps emptied CPU-less nodes, so filtering every node on each
+        #: query would grow with attach history.
         self._ids: List[int] = []
         self._cpu_ids: List[int] = []
+        self._memory_ids: List[int] = []
 
     # -- construction -----------------------------------------------------------
     def add_node(self, node: NumaNode) -> NumaNode:
@@ -100,6 +106,8 @@ class NumaTopology:
         insort(self._ids, node.node_id)
         if not node.is_cpuless:
             insort(self._cpu_ids, node.node_id)
+        if node.memory_bytes > 0:
+            insort(self._memory_ids, node.node_id)
         return node
 
     def remove_node(self, node_id: int) -> NumaNode:
@@ -107,12 +115,28 @@ class NumaTopology:
         self._ids.remove(node_id)
         if node_id in self._cpu_ids:
             self._cpu_ids.remove(node_id)
+        if node.memory_bytes > 0:
+            self._memory_ids.remove(node_id)
         self._distance = {
             key: value
             for key, value in self._distance.items()
             if node_id not in key
         }
         return node
+
+    def resize(self, node_id: int, new_memory_bytes: int) -> None:
+        """Grow/shrink a node's capacity (memory hotplug).
+
+        Resizes of a node in a topology go through here, so that the
+        memory-node queries see the node gain or lose its memory.
+        """
+        node = self._nodes[node_id]
+        had_memory = node.memory_bytes > 0
+        node.resize(new_memory_bytes)
+        if had_memory and new_memory_bytes == 0:
+            self._memory_ids.remove(node_id)
+        elif not had_memory and new_memory_bytes > 0:
+            insort(self._memory_ids, node_id)
 
     def set_distance(self, a: int, b: int, distance: int) -> None:
         if a not in self._nodes or b not in self._nodes:
@@ -143,7 +167,7 @@ class NumaTopology:
         return [self._nodes[i] for i in self._cpu_ids]
 
     def memory_nodes(self) -> List[NumaNode]:
-        return [n for n in self.nodes if n.memory_bytes > 0]
+        return [self._nodes[i] for i in self._memory_ids]
 
     def distance(self, a: int, b: int) -> int:
         try:

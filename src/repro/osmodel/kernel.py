@@ -178,7 +178,7 @@ class LinuxKernel:
             self.pages.add_range(node_id, section.range)
             added += section.range.size
         node = self.topology.node(node_id)
-        node.resize(node.memory_bytes + added)
+        self.topology.resize(node_id, node.memory_bytes + added)
         self.hotplug_events.append(
             f"online {list(section_indices)} -> node{node_id}"
         )
@@ -207,7 +207,9 @@ class LinuxKernel:
                 )
             self.sparse.finish_offline(index)
             node = self.topology.node(node_id)
-            node.resize(node.memory_bytes - section.range.size)
+            self.topology.resize(
+                node_id, node.memory_bytes - section.range.size
+            )
             removed += section.range.size
         self.hotplug_events.append(f"offline {list(section_indices)}")
         return removed

@@ -49,9 +49,44 @@ def packet_rack_graph(capacity=2):
     return state, hosts
 
 
+def oracle_graph(state):
+    """An ``nx.Graph`` with ``state``'s nodes, edges and attributes, and
+    every node's neighbors in the same order.
+
+    networkx orders a node's neighbors by when their edges were added,
+    so the edges go in in an order that every node's neighbor list
+    agrees with: repeatedly add an edge that is next in line at both of
+    its ends.
+    """
+    graph = nx.Graph()
+    graph.add_nodes_from(state.nodes.items())
+    queues = {node: list(neighbors) for node, neighbors in state.adj.items()}
+    heads = dict.fromkeys(queues, 0)
+
+    def next_neighbor(node):
+        queue = queues[node]
+        return queue[heads[node]] if heads[node] < len(queue) else None
+
+    added = True
+    while added:
+        added = False
+        for node in queues:
+            other = next_neighbor(node)
+            while other is not None and next_neighbor(other) == node:
+                graph.add_edge(node, other, **state.adj[node][other])
+                heads[node] += 1
+                if other != node:
+                    heads[other] += 1
+                added = True
+                other = next_neighbor(node)
+    for node in state.nodes:
+        assert list(graph.adj[node]) == list(state.adj[node]), node
+    return graph
+
+
 def reference_candidate_paths(state, compute_host, memory_host):
     """The uncached enumeration: every call walks the whole graph."""
-    graph = state.graph
+    graph = oracle_graph(state)
     endpoints = (NodeKind.COMPUTE_ENDPOINT, NodeKind.MEMORY_ENDPOINT)
     usable = []
     for path in nx.all_simple_paths(graph, state.cep(compute_host),
@@ -81,7 +116,64 @@ def reference_node_paths(candidates, channels):
     return None
 
 
+@st.composite
+def wirings(draw):
+    """A small random rack: hosts, switches, cables between any two
+    transceivers or switch ports (repeats included) and a few
+    reservations."""
+    state = StateGraph()
+    capacities = st.integers(1, 3)
+    hosts = [f"h{index}" for index in range(draw(st.integers(2, 4)))]
+    for host in hosts:
+        state.add_host(host, transceivers=draw(st.integers(1, 3)),
+                       channel_capacity=draw(capacities))
+    for index in range(draw(st.integers(0, 2))):
+        state.add_switch(f"sw{index}", ports=draw(st.integers(2, 4)),
+                         port_capacity=draw(capacities))
+    cableable = [
+        node for node, data in state.nodes.items()
+        if data["kind"] in (NodeKind.TRANSCEIVER, NodeKind.SWITCH_PORT)
+    ]
+    ends = st.sampled_from(cableable)
+    cables = st.tuples(ends, ends).filter(lambda pair: pair[0] != pair[1])
+    for end_a, end_b in draw(st.lists(cables, max_size=10)):
+        state.add_cable(end_a, end_b)
+    for node in draw(st.lists(ends, max_size=4)):
+        if state.free_capacity(node) > 0:
+            state.reserve([node])
+    return state, hosts
+
+
 class TestStateGraph:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.sampled_from(["node", "edge"]),
+            st.sampled_from("abcde"),
+            st.sampled_from("abcde"),
+            st.dictionaries(st.sampled_from("xyz"), st.integers(0, 3),
+                            max_size=2),
+        ),
+        max_size=20,
+    ))
+    def test_primitives_match_networkx(self, ops):
+        """Nodes, neighbors and attributes in the order networkx keeps
+        them, re-adds included."""
+        state, graph = StateGraph(), nx.Graph()
+        for op, a, b, attrs in ops:
+            if op == "node":
+                state._add_node(a, **attrs)
+                graph.add_node(a, **attrs)
+            elif a in state.nodes and b in state.nodes:
+                state._add_edge(a, b, **attrs)
+                graph.add_edge(a, b, **attrs)
+        assert list(state.nodes.items()) == list(graph.nodes(data=True))
+        assert list(state.adj) == list(graph.adj)
+        for node in graph:
+            assert list(state.adj[node].items()) == list(
+                graph.adj[node].items()
+            )
+
     def test_host_registration_creates_nodes(self):
         state = two_host_graph()
         snapshot = state.snapshot()
@@ -310,6 +402,18 @@ class TestPathPlanner:
                     len(path) - 2 for path in node_paths
                 )
                 held.append(planned)
+
+    @settings(max_examples=40, deadline=None)
+    @given(wirings())
+    def test_candidates_match_networkx_on_random_wirings(self, wiring):
+        state, hosts = wiring
+        planner = PathPlanner(state)
+        for compute in hosts:
+            for memory in hosts:
+                if compute != memory:
+                    assert planner.candidate_paths(compute, memory) == (
+                        reference_candidate_paths(state, compute, memory)
+                    )
 
 
 class TestAgentMechanics:

@@ -366,3 +366,54 @@ class TestTopologyOrder:
         assert topology.node_ids == [0, 3]
         assert [n.node_id for n in topology.nodes] == [0, 3]
         assert [n.node_id for n in topology.cpu_nodes()] == [0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.sampled_from(["add", "resize", "remove", "distance"]),
+            st.integers(0, 2),
+            st.integers(0, 2),
+            st.sampled_from([0, 0, MIB, 2 * MIB]),
+        ),
+        max_size=30,
+    ))
+    def test_memory_queries_match_naive_filter(self, ops):
+        topology = NumaTopology()
+        for op, node_id, other, size in ops:
+            present = node_id in topology
+            if op == "add" and not present:
+                topology.add_node(NumaNode(node_id, memory_bytes=size,
+                                           cpu_count=other % 2))
+            elif op == "resize" and present:
+                topology.resize(node_id, size)
+            elif op == "remove" and present:
+                topology.remove_node(node_id)
+            elif op == "distance" and present and other in topology:
+                # Any SLIT distance from 10 up; vary it with the draw.
+                distance = 10 + other + 7 * (size // MIB)
+                topology.set_distance(node_id, other, distance)
+            naive = [n for n in topology.nodes if n.memory_bytes > 0]
+            assert topology.memory_nodes() == naive
+            for source in topology.node_ids:
+                reachable = [
+                    n for n in naive
+                    if (source, n.node_id) in topology._distance
+                ]
+                assert topology.nodes_by_distance(source) == sorted(
+                    reachable,
+                    key=lambda n: topology.distance(source, n.node_id),
+                )
+
+    def test_attach_history_leaves_memory_nodes_at_boot(self):
+        testbed = Testbed()
+        topologies = [node.kernel.topology for node in testbed.nodes]
+        boot = [[n.node_id for n in t.memory_nodes()] for t in topologies]
+        for _ in range(200):
+            attachment = testbed.attach("node0", 4 * MIB, memory_host="node1")
+            testbed.detach(attachment)
+        assert [
+            [n.node_id for n in t.memory_nodes()] for t in topologies
+        ] == boot
+        # The emptied CPU-less nodes are kept: the memory queries no
+        # longer walk them.
+        assert len(topologies[0].node_ids) > len(boot[0])
