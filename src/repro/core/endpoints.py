@@ -426,11 +426,26 @@ class MemoryStealingEndpoint:
             raise EndpointError(
                 f"{self.name}: unexpected non-request on network: {txn!r}"
             )
-        self.sim.process(self._serve(txn), name=f"{self.name}.serve")
+        txn.pasid = self.pasid
+        denied = self.c1.admit(txn)
+        if denied is not None:
+            # A denied request never crosses the link: it is answered
+            # at once, in a zero-delay turn of its own.
+            self.sim.schedule(0.0, self._respond, txn, denied)
+            return
+        # The request's process starts once it has crossed the host
+        # link: that crossing is the first thing it would wait for.
+        self.sim.process_after(
+            self.c1.crossing_latency_s,
+            self._serve(txn),
+            name=f"{self.name}.serve",
+        )
 
     def _serve(self, txn: MemTransaction) -> Generator:
-        txn.pasid = self.pasid
-        response = yield from self.c1.master(txn)
+        response = yield from self.c1.complete(txn)
+        self._respond(txn, response)
+
+    def _respond(self, txn: MemTransaction, response: MemTransaction) -> None:
         if response.response_code is ResponseCode.ACCESS_DENIED:
             self.denied += txn.burst
         else:

@@ -17,7 +17,8 @@ Equal weights degenerate to the paper's round-robin exactly.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs import trace as _trace
 from ..opencapi.transactions import MemTransaction, split_burst
@@ -56,7 +57,7 @@ class RoutingLayer:
         index = len(self._channels)
         self._channels.append(llc)
         self.per_channel_tx.append(0)
-        self.sim.process(self._drain(llc, index), name=f"{self.name}.rx{index}")
+        llc.set_receiver(partial(self._receive, index))
         return index
 
     @property
@@ -128,11 +129,12 @@ class RoutingLayer:
             return channels[0]
         weights = self._weights[base]
         current = self._wrr_current[base]
-        total = sum(weights)
-        for index in range(len(channels)):
-            current[index] += weights[index]
-        best = max(range(len(channels)), key=lambda i: current[i])
-        current[best] -= total
+        best = 0
+        for index, weight in enumerate(weights):
+            current[index] += weight
+            if current[index] > current[best]:
+                best = index
+        current[best] -= sum(weights)
         return channels[best]
 
     def forward(self, txn: MemTransaction) -> Optional[Process]:
@@ -206,15 +208,14 @@ class RoutingLayer:
         registry.add_collector(collect)
 
     # -- ingress --------------------------------------------------------------------
-    def _drain(self, llc: LlcEndpoint, index: int) -> Generator:
-        while True:
-            txn = yield from llc.receive()
-            if self._rx_handler is None:
-                raise RoutingError(
-                    f"{self.name}: transaction arrived with no rx handler"
-                )
-            txn.arrival_channel = index
-            self._rx_handler(txn, index)
+    def _receive(self, index: int, txn: MemTransaction) -> None:
+        """Channel ``index``'s LLC hands over one transaction."""
+        if self._rx_handler is None:
+            raise RoutingError(
+                f"{self.name}: transaction arrived with no rx handler"
+            )
+        txn.arrival_channel = index
+        self._rx_handler(txn, index)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

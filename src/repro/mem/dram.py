@@ -65,7 +65,8 @@ class DramDevice:
 
     ``read``/``write`` and their burst forms are generators that run
     inside the caller's process: model code does
-    ``data = yield from dram.read(addr, size)``.
+    ``data = yield from dram.read(addr, size)``. A free bank is taken
+    on the spot; only an access that finds every bank busy waits.
     """
 
     def __init__(
@@ -146,7 +147,8 @@ class DramDevice:
         self, address: int, size: int, data: Optional[bytes]
     ) -> Generator:
         start = self.sim.now
-        yield self._banks.acquire()
+        if not self._banks.try_acquire():
+            yield self._banks.acquire()
         if _trace.ENABLED and self._banks.in_use > self.peak_banks_in_use:
             self.peak_banks_in_use = self._banks.in_use
         try:
@@ -174,7 +176,8 @@ class DramDevice:
         start = self.sim.now
         size = lines * CACHELINE_BYTES
         slots = min(lines, self.timing.banks)
-        yield self._banks.acquire(slots)
+        if not self._banks.try_acquire(slots):
+            yield self._banks.acquire(slots)
         if _trace.ENABLED and self._banks.in_use > self.peak_banks_in_use:
             self.peak_banks_in_use = self._banks.in_use
         try:

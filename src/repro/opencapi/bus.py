@@ -106,11 +106,15 @@ class SystemBus:
 
     # -- routing ------------------------------------------------------------------
     def target_for(self, address: int, size: int) -> Tuple[AddressRange, BusTarget]:
-        access = AddressRange(address, size)
+        if address < 0 or size <= 0:
+            AddressRange(address, size)  # raises the AddressError
+        end = address + size
         for window, target in self._map:
-            if window.contains_range(access):
+            start = window.start
+            window_end = start + window.size
+            if start <= address and end <= window_end:
                 return window, target
-            if window.overlaps(access):
+            if start < end and address < window_end:
                 raise BusError(
                     f"{self.name}: access [{address:#x}, "
                     f"{address + size:#x}) straddles window {window!r}"

@@ -30,8 +30,13 @@ class PasidEntry:
     windows: List[AddressRange] = field(default_factory=list)
 
     def permits(self, address: int, size: int) -> bool:
-        access = AddressRange(address, size)
-        return any(window.contains_range(access) for window in self.windows)
+        if address < 0 or size <= 0:
+            AddressRange(address, size)  # raises the AddressError
+        end = address + size
+        for window in self.windows:
+            if window.start <= address and end <= window.start + window.size:
+                return True
+        return False
 
 
 class PasidRegistry:

@@ -41,6 +41,14 @@ class TLCommand(Enum):
     LINK_SYNC = auto()     #: link bring-up: agree on starting frame id
 
 
+#: Command classes, built once. Constant tuples rather than frozensets:
+#: ``Enum.__hash__`` is a Python-level call, while tuple membership
+#: tests identity first.
+_REQUESTS = (TLCommand.RD_MEM, TLCommand.WRITE_MEM)
+_RESPONSES = (TLCommand.MEM_RD_RESPONSE, TLCommand.MEM_WR_RESPONSE)
+_CARRIES_DATA = (TLCommand.WRITE_MEM, TLCommand.MEM_RD_RESPONSE)
+
+
 class ResponseCode(Enum):
     """Completion status carried by response transactions."""
 
@@ -164,18 +172,15 @@ class MemTransaction:
 
     @property
     def is_request(self) -> bool:
-        return self.command in (TLCommand.RD_MEM, TLCommand.WRITE_MEM)
+        return self.command in _REQUESTS
 
     @property
     def is_response(self) -> bool:
-        return self.command in (
-            TLCommand.MEM_RD_RESPONSE,
-            TLCommand.MEM_WR_RESPONSE,
-        )
+        return self.command in _RESPONSES
 
     @property
     def carries_data(self) -> bool:
-        return self.command in (TLCommand.WRITE_MEM, TLCommand.MEM_RD_RESPONSE)
+        return self.command in _CARRIES_DATA
 
     @property
     def flit_count(self) -> int:
@@ -299,9 +304,10 @@ def transaction_flits(txn: MemTransaction) -> int:
     cachelines serializes as N per-line flit groups, so its footprint is
     exactly N times the per-line count.
     """
-    if txn.command == TLCommand.NOP:
+    command = txn.command
+    if command is TLCommand.NOP:
         return 1
-    if txn.carries_data:
+    if command in _CARRIES_DATA:
         per_line_payload = flits_for_payload(txn.size // txn.burst)
         return txn.burst * (1 + per_line_payload)
     return txn.burst

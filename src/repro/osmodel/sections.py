@@ -13,7 +13,7 @@ the control plane allocates donor memory in section multiples.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..mem.address import AddressError, AddressRange, DEFAULT_SECTION_BYTES
 
@@ -70,6 +70,12 @@ class SparseMemoryModel:
     the physical address space may have arbitrary holes (the firmware
     places DRAM, MMIO windows and ThymesisFlow windows wherever it
     likes).
+
+    Boot memory (:meth:`probe_online`) is kept as runs of online
+    sections, and a section of a run becomes a :class:`MemorySection`
+    only when it is first accessed: a node boots hundreds of sections
+    that nothing but the queries below ever looks at. Every present
+    index is in exactly one place, ``_sections`` or a run.
     """
 
     def __init__(self, section_bytes: int = DEFAULT_SECTION_BYTES):
@@ -79,6 +85,9 @@ class SparseMemoryModel:
             )
         self.section_bytes = section_bytes
         self._sections: Dict[int, MemorySection] = {}
+        #: Untouched boot sections as ``(first, end, numa_node)`` runs
+        #: of online indices ``first..end-1``; a node has a handful.
+        self._runs: List[Tuple[int, int, int]] = []
 
     # -- index arithmetic ---------------------------------------------------------
     def index_of(self, address: int) -> int:
@@ -98,14 +107,16 @@ class SparseMemoryModel:
         """
         return self._create(start, size, SectionState.OFFLINE, None)
 
-    def probe_online(
-        self, start: int, size: int, numa_node: int
-    ) -> List[MemorySection]:
+    def probe_online(self, start: int, size: int, numa_node: int) -> int:
         """:meth:`probe` and :meth:`online` every new section, in one pass.
 
-        Boot memory takes this path: its sections come up online.
+        Boot memory takes this path: its sections come up online, as one
+        run that is materialized section by section on access. Returns
+        the number of sections added.
         """
-        return self._create(start, size, SectionState.ONLINE, numa_node)
+        indices = self._new_indices(start, size)
+        self._runs.append((indices.start, indices.stop, numa_node))
+        return len(indices)
 
     def _create(
         self,
@@ -114,6 +125,17 @@ class SparseMemoryModel:
         state: SectionState,
         numa_node: Optional[int],
     ) -> List[MemorySection]:
+        indices = self._new_indices(start, size)
+        created = [
+            MemorySection(index, self.section_bytes, state, numa_node)
+            for index in indices
+        ]
+        self._sections.update(zip(indices, created))
+        return created
+
+    def _new_indices(self, start: int, size: int) -> range:
+        """The indices a probe of ``[start, start+size)`` adds; raises
+        unless it is section-aligned and nothing there is present."""
         if start % self.section_bytes or size % self.section_bytes:
             raise AddressError(
                 f"probe [{start:#x}, +{size:#x}) not aligned to "
@@ -123,15 +145,45 @@ class SparseMemoryModel:
             raise AddressError(f"probe size must be > 0: {size}")
         first = self.index_of(start)
         indices = range(first, first + size // self.section_bytes)
-        if not self._sections.keys().isdisjoint(indices):
-            index = next(i for i in indices if i in self._sections)
-            raise AddressError(f"section {index} already present")
-        created = [
-            MemorySection(index, self.section_bytes, state, numa_node)
-            for index in indices
+        clashes = [i for i in indices if i in self._sections]
+        clashes += [
+            max(run_first, indices.start)
+            for run_first, run_end, _node in self._runs
+            if run_first < indices.stop and indices.start < run_end
         ]
-        self._sections.update(zip(indices, created))
-        return created
+        if clashes:
+            raise AddressError(f"section {min(clashes)} already present")
+        return indices
+
+    def _run_of(self, index: int) -> int:
+        """Position in ``_runs`` of the run holding ``index``, or -1."""
+        for position, (first, end, _node) in enumerate(self._runs):
+            if first <= index < end:
+                return position
+        return -1
+
+    def _materialize(self, index: int) -> Optional[MemorySection]:
+        """Turn ``index`` of a boot run into an object; None if absent."""
+        position = self._run_of(index)
+        if position < 0:
+            return None
+        first, end, numa_node = self._runs[position]
+        tail = [(index + 1, end, numa_node)] if index + 1 < end else []
+        head = [(first, index, numa_node)] if first < index else []
+        self._runs[position:position + 1] = head + tail
+        section = MemorySection(
+            index, self.section_bytes, SectionState.ONLINE, numa_node
+        )
+        self._sections[index] = section
+        return section
+
+    def _materialize_all(self) -> None:
+        for first, end, numa_node in self._runs:
+            for index in range(first, end):
+                self._sections[index] = MemorySection(
+                    index, self.section_bytes, SectionState.ONLINE, numa_node
+                )
+        self._runs = []
 
     def remove(self, index: int) -> MemorySection:
         """Remove an offline section entirely (hot-remove)."""
@@ -178,18 +230,21 @@ class SparseMemoryModel:
 
     # -- queries ----------------------------------------------------------------------
     def section(self, index: int) -> MemorySection:
-        try:
-            return self._sections[index]
-        except KeyError:
-            raise AddressError(f"no section at index {index}") from None
+        section = self._sections.get(index)
+        if section is None:
+            section = self._materialize(index)
+            if section is None:
+                raise AddressError(f"no section at index {index}")
+        return section
 
     def section_at(self, address: int) -> MemorySection:
         return self.section(self.index_of(address))
 
     def present(self, index: int) -> bool:
-        return index in self._sections
+        return index in self._sections or self._run_of(index) >= 0
 
     def sections(self) -> Iterator[MemorySection]:
+        self._materialize_all()
         for index in sorted(self._sections):
             yield self._sections[index]
 
@@ -203,7 +258,19 @@ class SparseMemoryModel:
         ]
 
     def total_online_bytes(self, numa_node: Optional[int] = None) -> int:
-        return len(self.online_sections(numa_node)) * self.section_bytes
+        count = sum(
+            1
+            for s in self._sections.values()
+            if s.online and (numa_node is None or s.numa_node == numa_node)
+        )
+        count += sum(
+            end - first
+            for first, end, node in self._runs
+            if numa_node is None or node == numa_node
+        )
+        return count * self.section_bytes
 
     def __len__(self) -> int:
-        return len(self._sections)
+        return len(self._sections) + sum(
+            end - first for first, end, _node in self._runs
+        )

@@ -258,6 +258,23 @@ class Simulator:
             self._push(self._now, next(self._seq), proc, None)
         return proc
 
+    def process_after(
+        self, delay: float, generator: Generator, name: str = ""
+    ) -> Process:
+        """Register ``generator`` as a process that starts ``delay`` from now.
+
+        For a process whose first act would be a timed wait: the wait is
+        its start time, so it costs no zero-delay start event.
+        """
+        if delay < 0:
+            raise SimulationError(f"cannot start in the past: {delay!r}")
+        proc = Process(self, generator, name=name)
+        if delay == 0.0 and self._running:
+            self._ready.append((next(self._seq), proc, None))
+        else:
+            self._push(self._now + delay, next(self._seq), proc, None)
+        return proc
+
     # -- execution -----------------------------------------------------------
     def run(self, until: Optional[float] = None, max_events: int = 50_000_000) -> float:
         """Run until the queue drains or simulated time exceeds ``until``.

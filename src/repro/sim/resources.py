@@ -53,17 +53,24 @@ class Resource:
         else, so a wide request cannot starve behind a stream of narrow
         ones nor vice versa.
         """
-        if count < 1 or count > self.capacity:
-            raise SimulationError(
-                f"{self.name}: cannot acquire {count} of {self.capacity}"
-            )
         grant = Signal(name=f"{self.name}.grant", oneshot=True)
-        if not self._waiters and self.in_use + count <= self.capacity:
-            self.in_use += count
+        if self.try_acquire(count):
             grant.fire()
         else:
             self._waiters.append((grant, count))
         return grant
+
+    def try_acquire(self, count: int = 1) -> bool:
+        """Take ``count`` slots now if :meth:`acquire` would grant them
+        at once; False (and nothing taken) otherwise."""
+        if count < 1 or count > self.capacity:
+            raise SimulationError(
+                f"{self.name}: cannot acquire {count} of {self.capacity}"
+            )
+        if not self._waiters and self.in_use + count <= self.capacity:
+            self.in_use += count
+            return True
+        return False
 
     def release(self, count: int = 1) -> None:
         if count < 1 or self.in_use < count:

@@ -7,8 +7,8 @@ to the outputs it makes and the sha256 of each; one parametrised test,
 process, exactly as the CLI or the claims run writes it. Running this
 module at two commits therefore shows whether they are byte-identical.
 
-Some outputs hash a metrics snapshot: the datapath scenarios and the
-chaos artifacts. Their canonical snapshot JSON is committed beside the
+Some outputs hash a metrics snapshot: the datapath and ordering
+scenarios and the chaos artifacts. Their canonical snapshot JSON is committed beside the
 manifest, as ``golden/<producer>/<output>.json``. When such a digest
 moves, the failure lists the snapshot keys that were added, removed or
 changed; when it holds, the committed snapshot must still match.
@@ -153,6 +153,95 @@ DATAPATH: Dict[str, Callable[[], Artifact]] = {
 }
 
 
+# -- same-instant ordering -------------------------------------------------------
+#
+# Contended single-line traffic under seeded drops and corruption, in
+# both directions of every channel. Besides the datapath artifact, each
+# scenario hashes every link's send sequence: (send time, frame id,
+# (txn id, burst) of every packed transaction). Events that share an
+# instant are dispatched in insertion order, so a change that reorders
+# them moves a frame's contents or its send time here even where the
+# final counters happen to agree.
+
+#: Cachelines stored and loaded back per scenario, split evenly over
+#: the concurrent workers.
+ORDERING_LINES = 1024
+
+
+def _record_sends(testbed) -> Dict[str, list]:
+    """Wrap every link's ``send``; returns the per-link send logs."""
+    logs: Dict[str, list] = {}
+    for channel in testbed.channels:
+        for link in (channel.a_to_b, channel.b_to_a):
+            log = logs[link.name] = []
+
+            def send(frame, size_bytes, pre_corrupted=False,
+                     _send=link.send, _log=log, _sim=testbed.sim):
+                _log.append((
+                    _sim.now,
+                    frame.frame_id,
+                    [(txn.txn_id, txn.burst) for txn in frame.transactions],
+                ))
+                return _send(frame, size_bytes, pre_corrupted)
+
+            link.send = send
+    return logs
+
+
+def _ordering(bonded: bool, workers: int, seed: int = 3) -> Artifact:
+    reset_txn_ids()
+    rng = SeededRNG(seed)
+    testbed = Testbed()
+    for index, channel in enumerate(testbed.channels):
+        for direction, link in (("ab", channel.a_to_b),
+                                ("ba", channel.b_to_a)):
+            link.faults = FaultInjector(
+                rng=rng.derive(f"faults/ch{index}/{direction}"),
+                drop_probability=2e-3,
+                corrupt_probability=2e-3,
+            )
+    logs = _record_sends(testbed)
+    attachment = testbed.attach(
+        "node0", 4 * MIB, memory_host="node1", bonded=bonded
+    )
+    start = testbed.remote_window_range(attachment).start
+    lines = [
+        int(line) for line in rng.derive("lines").sample_indices(
+            4 * MIB // CACHELINE_BYTES, ORDERING_LINES
+        )
+    ]
+    data = rng.derive("data").bytes(ORDERING_LINES * CACHELINE_BYTES)
+    node = testbed.node0
+    back = [b""] * ORDERING_LINES
+
+    def worker(slots):
+        for slot in slots:
+            address = start + lines[slot] * CACHELINE_BYTES
+            yield node.store(
+                address,
+                data[slot * CACHELINE_BYTES:(slot + 1) * CACHELINE_BYTES],
+            )
+            back[slot] = yield node.load(address, CACHELINE_BYTES)
+
+    for first in range(workers):
+        testbed.sim.process(worker(range(first, ORDERING_LINES, workers)))
+    testbed.run()
+    read = b"".join(bytes(chunk) for chunk in back)
+    assert read == data
+    artifact = _datapath_artifact(testbed, read)
+    sends = json.dumps(logs, sort_keys=True).encode()
+    return Artifact(artifact.data + sends, artifact.snapshot)
+
+
+ORDERING: Dict[str, Callable[[], Artifact]] = {
+    f"{wiring}-w{workers}": functools.partial(
+        _ordering, wiring == "bonded", workers
+    )
+    for wiring in ("unbonded", "bonded")
+    for workers in (1, 16, 128)
+}
+
+
 # -- chaos, cluster, DSE and CLI artifacts -------------------------------------
 
 
@@ -268,6 +357,7 @@ def _repro_stdout(command: str, results) -> str:
 #: Producer -> (output, session results) -> the output's artifact.
 PRODUCERS: Dict[str, Callable[[str, Any], Artifact]] = {
     "datapath": lambda output, results: DATAPATH[output](),
+    "ordering": lambda output, results: ORDERING[output](),
     "chaos": lambda output, results: _chaos(output),
     "cluster_cli": lambda output, results: Artifact(_cluster_cli()[output]),
     "busy_replay": lambda output, results: Artifact(_busy_replays()[output]),

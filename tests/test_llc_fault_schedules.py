@@ -68,17 +68,20 @@ def _copy(bonded, injectors):
     return testbed, back
 
 
-def run_schedule(bonded, plans):
+def run_schedule(bonded, plans, observe=None):
     """Copy with ``{channel: plan}`` faults; assert every fault landed.
 
     Returns each channel's injector (its ``frames_seen`` counts that
     channel's traversals) and, if the LLCs are not whole afterwards,
-    their state; ``None`` when they are.
+    their state; ``None`` when they are. ``observe``, when given, is
+    called with the drained testbed.
     """
     injectors = {
         channel: FaultAtIndex(plans.get(channel)) for channel in channels(bonded)
     }
     testbed, back = _copy(bonded, injectors)
+    if observe is not None:
+        observe(testbed)
     landed = sum(injector.fault_count for injector in injectors.values())
     assert landed == sum(len(plan) for plan in plans.values()), plans
     llcs = [

@@ -129,7 +129,9 @@ class TestSamplingMechanics:
             testbed.node0.run_load(window.start)
         assert profiler.samples_taken > 10
         phases = {phase for phase, _name in profiler.stats()}
-        assert {"bus", "dram", "endpoint", "link", "llc"} <= phases
+        # A frame's wire crossing and its rx pipeline are one event the
+        # receiving LLC owns, so no link-owned event is dispatched.
+        assert {"bus", "dram", "endpoint", "llc"} <= phases
         total_host = sum(v[1] for v in profiler.stats().values())
         assert total_host > 0.0
 

@@ -178,6 +178,40 @@ class TestProcesses:
         assert results == [0, 1, 2]
         assert when == 3.0
 
+    def test_process_after_starts_at_its_first_wait(self):
+        """``process_after(d, gen)`` resumes ``gen`` at exactly the
+        instant a process starting with ``yield d`` would, with one
+        event fewer."""
+        seen = []
+
+        def body(tag):
+            seen.append((tag, sim.now))
+            yield 2.5e-9
+            seen.append((tag, sim.now))
+
+        def waits_first():
+            yield 1.5e-7
+            yield from body("spawned")
+
+        sim = Simulator()
+        sim.schedule(1e-7, lambda: sim.process(waits_first()))
+        sim.run()
+        spawned_events = sim.event_count
+        sim = Simulator()
+        sim.schedule(1e-7, lambda: sim.process_after(1.5e-7, body("after")))
+        sim.run()
+        assert [t for _tag, t in seen[:2]] == [t for _tag, t in seen[2:]]
+        assert sim.event_count == spawned_events - 1
+
+    def test_process_after_rejects_a_negative_delay(self):
+        sim = Simulator()
+
+        def body():
+            yield 1.0
+
+        with pytest.raises(SimulationError):
+            sim.process_after(-1e-9, body())
+
 
 class TestSignals:
     def test_fire_wakes_waiter_with_value(self):

@@ -86,6 +86,18 @@ class TestResource:
         sim.run_process(proc())
         assert resource.available == 3
 
+    def test_try_acquire_takes_free_slots_only_without_waiters(self):
+        sim = Simulator()
+        resource = Resource(sim, capacity=2)
+        assert resource.try_acquire(2)
+        assert not resource.try_acquire()
+        grant = resource.acquire(2)  # queued behind the full pool
+        resource.release()
+        assert not grant.fired and resource.in_use == 1
+        assert not resource.try_acquire()  # a free slot, but a waiter
+        with pytest.raises(SimulationError):
+            resource.try_acquire(3)
+
     def test_capacity_must_be_positive(self):
         with pytest.raises(SimulationError):
             Resource(Simulator(), capacity=0)
