@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import LlcConfig, LlcEndpoint
+from repro.core import LlcConfig, LlcEndpoint, LlcError
 from repro.net import DuplexChannel, FaultInjector, LinkConfig
 from repro.opencapi import MemTransaction
 from repro.sim import Simulator
@@ -40,17 +40,11 @@ def pump(sim, source, sink, count, payload_size=128):
                 yield waiting
 
     received = []
-
-    def receiver():
-        for _ in range(count):
-            txn = yield from sink.receive()
-            received.append(txn)
-
+    sink.set_receiver(received.append)
     sim.process(sender(), name="sender")
-    proc = sim.process(receiver(), name="receiver")
     # Generous relative bound; LLC timers may extend past the traffic.
     sim.run(until=sim.now + 1.0)
-    assert not proc.alive, "receiver did not get every transaction"
+    assert len(received) == count, "receiver did not get every transaction"
     return sent_ids, received
 
 
@@ -141,16 +135,9 @@ class TestLossyChannel:
                 yield waiting
 
         received = []
-
-        def receiver():
-            for _ in range(6):
-                txn = yield from b.receive()
-                received.append(txn.txn_id)
-
+        b.set_receiver(lambda txn: received.append(txn.txn_id))
         sim.process(sender())
-        proc = sim.process(receiver())
         sim.run(until=1.0)
-        assert not proc.alive
         assert received == sent_ids
         assert a.timeout_recoveries >= 1
 
@@ -212,18 +199,31 @@ class TestLinkBringUp:
                 yield waiting
 
         got = []
-
-        def receiver():
-            txn = yield from b.receive()
-            got.append(txn)
-
+        b.set_receiver(got.append)
         sim.process(sender())
-        sim.process(receiver())
         sim.run(until=50e-6)
         # b expects frame 0 but a sends frame 5: b treats it as a future
         # frame and requests a replay of 0..4 that a cannot serve; the
         # transaction is stuck until a real bring-up happens.
         assert got == []
+
+
+class TestReceiver:
+    def test_accepting_without_a_receiver_is_an_error(self):
+        sim, a, _b = make_pair()
+        a.submit(MemTransaction.write(0, bytes(128)))
+        with pytest.raises(LlcError, match="no receiver"):
+            sim.run(until=1.0)
+
+    def test_hand_over_returns_credits_to_the_sender(self):
+        """Each transaction handed to the receiver frees its ingress
+        slot: a sender with fewer credits than transactions stalls and
+        resumes on the grants."""
+        config = LlcConfig(rx_queue_slots=4)
+        sim, a, b = make_pair(config)
+        sent, received = pump(sim, a, b, 24)
+        assert [t.txn_id for t in received] == sent
+        assert a.credit_stalls >= 1
 
 
 class TestFrameDigest:

@@ -41,16 +41,10 @@ def pump(sim, source, sink, count):
                 yield waiting
 
     received = []
-
-    def receiver():
-        for _ in range(count):
-            txn = yield from sink.receive()
-            received.append(txn)
-
+    sink.set_receiver(received.append)
     sim.process(sender(), name="sender")
-    proc = sim.process(receiver(), name="receiver")
     sim.run(until=sim.now + 1.0)
-    assert not proc.alive, "receiver did not get every transaction"
+    assert len(received) == count, "receiver did not get every transaction"
     return sent_ids, received
 
 
@@ -111,12 +105,7 @@ class TestDropStorm:
         sim, a, b = make_pair(faults_ab=injector)
         sent_ids = []
         received = []
-
-        def receiver():
-            for _ in range(2):
-                received.append((yield from b.receive()))
-
-        proc = sim.process(receiver(), name="receiver")
+        b.set_receiver(received.append)
 
         def sender():
             first = MemTransaction.write(0, b"x" * 128)
@@ -135,7 +124,7 @@ class TestDropStorm:
 
         sim.process(sender(), name="sender")
         sim.run(until=sim.now + 1.0)
-        assert not proc.alive, "tail transaction never delivered"
+        assert len(received) == 2, "tail transaction never delivered"
         assert [t.txn_id for t in received] == sent_ids
         assert injector.forced_drops_applied == 2
         # Two timer rounds: one for the lost original, one for the

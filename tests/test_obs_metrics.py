@@ -205,15 +205,10 @@ def pump(sim, source, sink, count):
                 yield waiting
 
     received = []
-
-    def receiver():
-        for _ in range(count):
-            received.append((yield from sink.receive()))
-
+    sink.set_receiver(received.append)
     sim.process(sender(), name="sender")
-    proc = sim.process(receiver(), name="receiver")
     sim.run(until=sim.now + 1.0)
-    assert not proc.alive, "receiver did not get every transaction"
+    assert len(received) == count, "receiver did not get every transaction"
     return received
 
 

@@ -151,13 +151,13 @@ class TestC1Port:
         txn = MemTransaction.write(0x100, b"\x22" * 128)
         txn.pasid = entry.pasid
 
-        def proc():
-            response = yield from port.master(txn)
-            return response
-
-        response = sim.run_process(proc())
+        assert port.admit(txn) is None
+        response = sim.run_process(port.complete(txn))
         assert response.response_code is ResponseCode.OK
         assert dram.read_now(0x100, 128) == b"\x22" * 128
+        assert port.mastered == 1 and port.denied == 0
+        # The bus access, then one host-link crossing back.
+        assert sim.now > port.crossing_latency_s
 
     def test_master_denied_becomes_bus_response(self):
         sim = Simulator()
@@ -168,13 +168,11 @@ class TestC1Port:
         txn = MemTransaction.read(0x0)
         txn.pasid = entry.pasid
 
-        def proc():
-            response = yield from port.master(txn)
-            return response
-
-        response = sim.run_process(proc())
+        response = port.admit(txn)
         assert response.response_code is ResponseCode.ACCESS_DENIED
         assert port.denied == 1 and port.mastered == 0
+        # A denied access never reaches the bus or the simulated clock.
+        assert sim.now == 0.0
 
 
 class TestMmio:
@@ -310,6 +308,32 @@ class TestSerialLink:
         link.send("x", 1250)
         sim.run()
         assert 0.0 < link.utilization(sim.now) <= 1.0
+
+    def test_frames_count_as_delivered_when_they_land(self):
+        """A mid-run read leaves out frames still queued or in flight,
+        and a dropped frame never counts."""
+        sim = Simulator()
+        faults = FaultInjector()
+        config = LinkConfig()
+        link = SerialLink(sim, config, faults=faults)
+        link.send("a", 1250)
+        faults.force_drop_next()
+        link.send("dropped", 1250)
+        link.send("b", 1250)
+        first = config.serialization_time(1250) + config.flight_latency_s
+        third = 3 * config.serialization_time(1250) + config.flight_latency_s
+        samples = []
+        for at in (first / 2, first, (first + third) / 2, third):
+            sim.schedule_at(
+                at,
+                lambda: samples.append(
+                    (link.frames_delivered, link.bytes_delivered)
+                ),
+            )
+        sim.run()
+        assert samples == [(0, 0), (1, 1250), (1, 1250), (2, 2500)]
+        assert link.frames_sent == 3 and link.bytes_sent == 3750
+        assert link.utilization(third) <= 1.0
 
     def test_duplex_channel_views(self):
         sim = Simulator()
