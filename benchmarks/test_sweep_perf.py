@@ -1,26 +1,19 @@
-"""Perf-regression harness for the parallel sweep engine.
+"""Perf-regression harness for the sweep engine's result cache.
 
-Measures three ways of regenerating figures 5-9 (the per-configuration
+Measures two ways of regenerating figures 5-9 (the per-configuration
 model sweeps; Fig. 1 is a single monolithic cluster replay and is
 timed by ``python -m bench``'s ``fig1_replay`` workload instead):
 
-* **serial** — ``jobs=1``, cache off: the pre-engine baseline cost;
-* **cold parallel** — ``jobs=4`` into an empty cache: fan-out speedup;
+* **serial** — every slice runs in process into an empty cache;
 * **warm** — the same run again: content-addressed cache replay.
 
 Results land in ``BENCH_sweeps.json`` at the repository root so
-regressions show up in review diffs. The rendered tables from all
-three runs must be byte-identical — the speedups are only meaningful
-if the parallel and cached paths reproduce the serial output exactly.
+regressions show up in review diffs. The rendered tables of both runs
+must be byte-identical — the speedup is only meaningful if the cached
+path reproduces the serial output exactly.
 
-Set ``SWEEP_PERF_SMOKE=1`` for a fast CI-sized run with relaxed
-thresholds (the full run asserts the ISSUE targets: >=2x cold
-parallel, >=10x warm cache). The cold-parallel target presumes the
-host can actually run the workers concurrently; like ``--jobs auto``,
-the bench never oversubscribes — it fans out with ``min(4, cpus)``
-workers — and on hosts with fewer than 4 CPUs the assertion degrades
-to an engine-overhead bound while the measured numbers (and the CPU
-count) are still recorded in ``BENCH_sweeps.json``.
+Set ``SWEEP_PERF_SMOKE=1`` for a fast CI-sized run with a relaxed
+threshold (the full run asserts >=10x warm cache, smoke >=3x).
 """
 
 from __future__ import annotations
@@ -42,81 +35,54 @@ RESULTS_PATH = os.path.join(
 
 FIGURES = ("fig5", "fig6", "fig7", "fig8", "fig9")
 
-# Fan out like ``--jobs auto`` would: up to 4 workers, never more than
-# the host has CPUs (oversubscribing a small host only adds thrash).
-CPUS = os.cpu_count() or 1
-JOBS = min(4, CPUS)
-
 # Fig. 8's latency-sample count dominates the sweep's wall-clock; the
 # other figures' slices provide the many-small-specs load.
 FIG8_SAMPLES = 150_000 if SMOKE else 800_000
 
-# Required speedups (full run = the ISSUE acceptance targets; smoke
-# keeps CI honest without being flaky on loaded shared runners). The
-# parallel target only holds where >=4 workers run concurrently; a
-# smaller host bounds the engine + pool dispatch overhead instead.
-if JOBS >= 4:
-    COLD_TARGET = 1.2 if SMOKE else 2.0
-elif JOBS > 1:
-    COLD_TARGET = 1.05
-else:
-    COLD_TARGET = 0.8
+# Required warm-cache speedup (smoke keeps CI honest without being
+# flaky on loaded shared runners).
 WARM_TARGET = 3.0 if SMOKE else 10.0
 
 
-def _figure_kwargs():
-    return {"fig8": {"samples": FIG8_SAMPLES}}
-
-
-def _timed_run(**engine_kwargs):
+def _timed_run(cache_dir):
     started = time.perf_counter()
     tables, engine = run_figures(
-        list(FIGURES), figure_kwargs=_figure_kwargs(), **engine_kwargs
+        list(FIGURES), cache_dir=cache_dir,
+        figure_kwargs={"fig8": {"samples": FIG8_SAMPLES}},
     )
     elapsed = time.perf_counter() - started
     rendered = "\n".join(render(tables[name]) for name in FIGURES)
     return rendered, engine, elapsed
 
 
-def test_sweep_fanout_and_cache_speedup(tmp_path):
+def test_sweep_cache_speedup(tmp_path):
     cache_dir = str(tmp_path / "cache")
 
-    serial_text, _, serial_s = _timed_run(jobs=1, cache=False)
+    serial_text, serial_engine, serial_s = _timed_run(cache_dir)
+    assert serial_engine.cache_hits == 0
+    assert serial_engine.executed == serial_engine.specs_seen > 0
 
-    cold_text, cold_engine, cold_s = _timed_run(jobs=JOBS,
-                                                cache_dir=cache_dir)
-    assert cold_engine.cache_hits == 0 and cold_engine.executed > 0
-
-    warm_text, warm_engine, warm_s = _timed_run(jobs=JOBS,
-                                                cache_dir=cache_dir)
+    warm_text, warm_engine, warm_s = _timed_run(cache_dir)
     assert warm_engine.executed == 0
     assert warm_engine.cache_hits == warm_engine.specs_seen
 
-    # Correctness first: all three paths render identical tables.
-    assert cold_text == serial_text
+    # Correctness first: both paths render identical tables.
     assert warm_text == serial_text
 
-    cold_speedup = serial_s / cold_s
     warm_speedup = serial_s / warm_s
     print(
-        f"figs 5-9 (fig8 samples={FIG8_SAMPLES:,}, {CPUS} CPUs): "
-        f"serial {serial_s:.2f}s, cold x{JOBS} {cold_s:.2f}s "
-        f"({cold_speedup:.2f}x), warm {warm_s:.3f}s "
-        f"({warm_speedup:.1f}x)"
+        f"figs 5-9 (fig8 samples={FIG8_SAMPLES:,}): serial "
+        f"{serial_s:.2f}s, warm {warm_s:.3f}s ({warm_speedup:.1f}x)"
     )
 
     report = {
         "figures": list(FIGURES),
-        "specs": cold_engine.specs_seen,
-        "jobs": JOBS,
-        "cpus": CPUS,
+        "specs": serial_engine.specs_seen,
+        "cpus": os.cpu_count() or 1,
         "fig8_samples": FIG8_SAMPLES,
         "serial_s": round(serial_s, 4),
-        "cold_parallel_s": round(cold_s, 4),
         "warm_cache_s": round(warm_s, 4),
-        "cold_speedup": round(cold_speedup, 3),
         "warm_speedup": round(warm_speedup, 3),
-        "cold_target": COLD_TARGET,
         "warm_target": WARM_TARGET,
         "smoke": SMOKE,
     }
@@ -124,9 +90,6 @@ def test_sweep_fanout_and_cache_speedup(tmp_path):
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
-    assert cold_speedup >= COLD_TARGET, (
-        f"cold parallel sweep {cold_speedup:.2f}x < {COLD_TARGET}x target"
-    )
     assert warm_speedup >= WARM_TARGET, (
         f"warm cache replay {warm_speedup:.2f}x < {WARM_TARGET}x target"
     )

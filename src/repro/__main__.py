@@ -417,11 +417,6 @@ def _run_metrics(args, parser) -> int:
 
 def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--jobs",
-        default="1",
-        help="worker processes: an integer or 'auto' (= CPU count)",
-    )
-    parser.add_argument(
         "--no-cache",
         action="store_true",
         help="bypass the on-disk result cache entirely",
@@ -436,9 +431,7 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
 def _make_engine(args):
     from .sweep import SweepEngine
 
-    return SweepEngine(
-        jobs=args.jobs, cache=not args.no_cache, cache_dir=args.cache_dir
-    )
+    return SweepEngine(cache=not args.no_cache, cache_dir=args.cache_dir)
 
 
 def _figures_arguments(parser: argparse.ArgumentParser) -> None:
@@ -472,7 +465,7 @@ def _run_figures(args, parser) -> int:
         print()
         print(
             summary_from_snapshot(
-                "sweep metrics (workers merged)",
+                "sweep metrics",
                 engine.registry.snapshot(),
                 prefixes=["sweep"],
             ).render()
@@ -487,18 +480,16 @@ def _parse_value(text: str):
         return text
 
 
-def _parse_assignment(option: str, text: str):
+def _parse_assignment(parser, option: str, text: str):
     if "=" not in text:
-        raise SystemExit(
-            f"error: {option} expects KEY=VALUE, got {text!r}"
-        )
+        parser.error(f"{option} expects KEY=VALUE, got {text!r}")
     key, _, value = text.partition("=")
     return key, value
 
 
 def _sweep_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "target", help="target to run (slice:, figure: or py:module:function)"
+        "target", help="target to run (slice:<name> or figure:<name>)"
     )
     parser.add_argument(
         "--set",
@@ -517,13 +508,6 @@ def _sweep_arguments(parser: argparse.ArgumentParser) -> None:
         help="kwarg swept over comma-separated values (cartesian product)",
     )
     parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="per-spec seed recorded in the cache key (passed to targets "
-             "that accept a 'seed' kwarg)",
-    )
-    parser.add_argument(
         "--json",
         action="store_true",
         help="print one JSON object per run instead of the table",
@@ -532,32 +516,29 @@ def _sweep_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _run_sweep(args, parser) -> int:
-    from .sweep import make_spec, resolve_target
-
-    try:
-        resolve_target(args.target)
-    except (KeyError, ImportError, AttributeError, ValueError) as error:
-        parser.error(str(error))
+    from .sweep import check_spec, make_spec
 
     fixed = dict(
         (key, _parse_value(value))
         for key, value in (
-            _parse_assignment("--set", item) for item in args.fixed
+            _parse_assignment(parser, "--set", item) for item in args.fixed
         )
     )
     axes = []
     for item in args.swept:
-        key, values = _parse_assignment("--sweep", item)
+        key, values = _parse_assignment(parser, "--sweep", item)
         axes.append(
             (key, [_parse_value(value) for value in values.split(",")])
         )
 
     grids = [dict(zip([k for k, _ in axes], combo))
              for combo in itertools.product(*[v for _, v in axes])]
-    specs = [
-        make_spec(args.target, seed=args.seed, **{**fixed, **grid})
-        for grid in grids
-    ]
+    specs = [make_spec(args.target, **{**fixed, **grid}) for grid in grids]
+    try:
+        for spec in specs:
+            check_spec(spec)
+    except (KeyError, TypeError) as error:
+        parser.error(error.args[0])
     engine = _make_engine(args)
     outcomes = engine.run(specs)
 
@@ -566,7 +547,6 @@ def _run_sweep(args, parser) -> int:
             "key": outcome.spec.key,
             "target": outcome.spec.target,
             "kwargs": outcome.spec.kwargs,
-            "seed": outcome.spec.seed,
             "cached": outcome.cached,
             "elapsed_s": round(outcome.elapsed_s, 6),
             "result": outcome.value,
@@ -650,277 +630,6 @@ def _run_chaos(args, parser) -> int:
             handle.write("\n")
         print(f"result json : {path}")
     return 0 if result["verified"] else 1
-
-
-# -- fault-campaign design-space exploration --------------------------------------
-
-
-def _dse_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--design",
-        choices=("factorial", "evolve"),
-        default="factorial",
-        help="design builder: full/fractional factorial grid, or "
-             "seeded evolutionary search (tournament + mutation)",
-    )
-    parser.add_argument(
-        "--factor",
-        action="append",
-        default=[],
-        metavar="NAME=V1,V2,...",
-        dest="factors",
-        help="override one factor's sweep levels (values parsed as "
-             "JSON, else strings); repeatable",
-    )
-    parser.add_argument(
-        "--replicates",
-        type=_positive_int,
-        default=1,
-        help="seed replicates per design point (replicate i runs with "
-             "seed base+i)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=7,
-        help="base seed: replicate seeds and the evolutionary search "
-             "derive from it",
-    )
-    parser.add_argument(
-        "--fraction",
-        type=_positive_int,
-        default=1,
-        help="factorial only: keep a deterministic 1/N lattice slice "
-             "of the full grid",
-    )
-    parser.add_argument(
-        "--phase",
-        type=int,
-        default=0,
-        help="factorial only: which 1/N slice to keep (0..fraction-1)",
-    )
-    parser.add_argument(
-        "--generations", type=int, default=4,
-        help="evolve only: number of generations",
-    )
-    parser.add_argument(
-        "--population", type=int, default=8,
-        help="evolve only: population size",
-    )
-    parser.add_argument(
-        "--tournament", type=int, default=2,
-        help="evolve only: tournament size for parent selection",
-    )
-    parser.add_argument(
-        "--mutation-rate", type=float, default=0.35,
-        help="evolve only: per-factor mutation probability",
-    )
-    parser.add_argument(
-        "--objective",
-        default="bandwidth_cost",
-        help="response minimized among SLO-passing configurations "
-             "(and the evolutionary fitness)",
-    )
-    _add_slo_argument(
-        parser, "(repeatable; default: the stock availability objectives)"
-    )
-    parser.add_argument(
-        "--payload-kib",
-        type=int,
-        default=32,
-        help="workload size per cell in KiB",
-    )
-    parser.add_argument(
-        "--campaign-param",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        dest="campaign_params",
-        help="campaign parameter override (e.g. at_s=2e-5) applied to "
-             "every faulted cell; repeatable",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI preset: 2x2x2 factorial (frame_flits x loss_rate x "
-             "failover_policy) with 2 replicates — includes the "
-             "deliberate no-failover canary that breaches the "
-             "availability SLO",
-    )
-    parser.add_argument(
-        "--out",
-        default="dse-artifacts",
-        help="output directory for dse-report.{json,md}",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="print the JSON report instead of the text rendering",
-    )
-    _add_engine_arguments(parser)
-
-
-def _run_dse(args, parser) -> int:
-    if not 0 <= args.phase < args.fraction:
-        parser.error(
-            f"--phase must be in [0, {args.fraction}), got {args.phase}"
-        )
-
-    from .resilience.dse import (
-        CELL_TARGET,
-        EvolutionarySearch,
-        build_report,
-        cells_for,
-        default_space,
-        fractional_factorial,
-        full_factorial,
-        render_markdown,
-        render_text,
-    )
-    from .resilience.dse.responses import DEFAULT_SLOS
-    from .sweep import make_spec
-
-    overrides = {}
-    if args.smoke:
-        overrides = {
-            "frame_flits": [8, 16],
-            "credit_depth": [256],
-            "loss_rate": [0.0, 0.01],
-            "campaign": ["link-kill"],
-            "failover_policy": ["fast", "none"],
-        }
-        args.replicates = max(args.replicates, 2)
-    for item in args.factors:
-        key, values = _parse_assignment("--factor", item)
-        overrides[key] = [_parse_value(value) for value in values.split(",")]
-    campaign_params = dict(
-        (key, _parse_value(value))
-        for key, value in (
-            _parse_assignment("--campaign-param", item)
-            for item in args.campaign_params
-        )
-    )
-    slo_lines = args.slos or list(DEFAULT_SLOS)
-
-    space = default_space()
-    levels = space.levels(overrides)
-    engine = _make_engine(args)
-
-    def specs_for(cells):
-        specs = []
-        for cell in cells:
-            kwargs = dict(cell.point)
-            if kwargs.get("campaign") != "none" and campaign_params:
-                kwargs["campaign_params"] = campaign_params
-            specs.append(make_spec(
-                CELL_TARGET,
-                seed=cell.seed,
-                payload_kib=args.payload_kib,
-                **kwargs,
-            ))
-        return specs
-
-    def evaluate(cells):
-        """Run cells through the engine; returns judged cell records."""
-        outcomes = engine.run(specs_for(cells))
-        return [
-            {
-                "point": dict(cell.point),
-                "seed": cell.seed,
-                "replicate": cell.replicate,
-                "value": outcome.value,
-            }
-            for cell, outcome in zip(cells, outcomes)
-        ]
-
-    design_info = {"kind": args.design, "seed": args.seed,
-                   "replicates": args.replicates,
-                   "payload_kib": args.payload_kib}
-    if args.design == "factorial":
-        if args.fraction > 1:
-            points = fractional_factorial(
-                levels, args.fraction, args.phase
-            )
-            design_info["fraction"] = args.fraction
-            design_info["phase"] = args.phase
-        else:
-            points = full_factorial(levels)
-        records = evaluate(cells_for(points, args.replicates, args.seed))
-    else:
-        from .obs.slo import parse_slo_specs
-        from .resilience.dse import evaluate_cell_slo
-
-        specs = parse_slo_specs(slo_lines)
-        records = []
-
-        def fitness(points):
-            batch = evaluate(
-                cells_for(points, args.replicates, args.seed)
-            )
-            records.extend(batch)
-            scores = []
-            for point in points:
-                own = [
-                    record for record in batch
-                    if record["point"] == point
-                ]
-                breaches = sum(
-                    0 if evaluate_cell_slo(record["value"], specs)["ok"]
-                    else 1
-                    for record in own
-                )
-                mean = sum(
-                    record["value"]["responses"][args.objective]
-                    for record in own
-                ) / len(own)
-                # SLO breaches dominate: an infeasible configuration
-                # never outranks a feasible one on raw objective value.
-                scores.append(mean + 1e9 * breaches)
-            return scores
-
-        search = EvolutionarySearch(
-            levels,
-            population=args.population,
-            generations=args.generations,
-            tournament=args.tournament,
-            mutation_rate=args.mutation_rate,
-            seed=args.seed,
-        )
-        result = search.run(fitness)
-        design_info.update({
-            "population": args.population,
-            "generations": args.generations,
-            "tournament": args.tournament,
-            "mutation_rate": args.mutation_rate,
-            "evolution": result.describe(),
-        })
-
-    report = build_report(
-        design=design_info,
-        cells=records,
-        levels=levels,
-        slo_lines=slo_lines,
-        objective=args.objective,
-    )
-
-    os.makedirs(args.out, exist_ok=True)
-    json_path = os.path.join(args.out, "dse-report.json")
-    md_path = os.path.join(args.out, "dse-report.md")
-    with open(json_path, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    with open(md_path, "w") as handle:
-        handle.write(render_markdown(report))
-
-    if args.json:
-        print(json.dumps(report, sort_keys=True))
-    else:
-        print(render_text(report))
-    print()
-    print(engine.stats_line())
-    print(f"report json    : {json_path}")
-    print(f"report markdown: {md_path}")
-    return 0
 
 
 # -- multi-rack cluster replay ----------------------------------------------------
@@ -1213,13 +922,13 @@ COMMANDS = (
     ),
     Command(
         "figures",
-        "parallel, cached figure regeneration (--jobs N, --no-cache)",
+        "cached figure regeneration (--no-cache, --cache-dir)",
         _run_figures,
         _figures_arguments,
         description="Regenerate paper figures through the sweep engine: "
-                    "independent slices fan out over worker processes and "
-                    "cached slices are not recomputed. Output tables are "
-                    "byte-identical to the serial figure functions.",
+                    "cached slices are not recomputed, and the rest run in "
+                    "this process. Output tables are byte-identical to the "
+                    "serial figure functions.",
     ),
     Command(
         "sweep",
@@ -1227,12 +936,10 @@ COMMANDS = (
         _run_sweep,
         _sweep_arguments,
         description="Fan one target out over a parameter grid through the "
-                    "sweep engine. Targets: 'slice:<name>' (figure slices), "
-                    "'figure:<name>' (whole figures), "
-                    "'py:<module>:<function>' (any importable JSON-returning "
-                    "function).",
+                    "sweep engine. Targets: 'slice:<name>' (figure slices) "
+                    "and 'figure:<name>' (whole figures).",
         epilog="example: python -m repro sweep slice:fig8.config --sweep "
-               "kind=local,scale-out --set samples=10000 --jobs 2",
+               "kind=local,scale-out --set samples=10000",
     ),
     Command(
         "chaos",
@@ -1259,26 +966,6 @@ COMMANDS = (
         epilog="examples: python -m repro cluster --racks 4 --tasks 2000; "
                "python -m repro cluster --scale 0.013 --chaos --out "
                "cluster-artifacts",
-    ),
-    Command(
-        "dse",
-        "fault-campaign design-space exploration with SLO-ranked "
-        "decision support (--design factorial|evolve)",
-        _run_dse,
-        _dse_arguments,
-        description="Fault-campaign design-space exploration with "
-                    "availability-SLO decision support: build a design over "
-                    "the robustness factor space (factorial grid or seeded "
-                    "evolutionary search), run every cell through the cached "
-                    "sweep engine, judge cells against availability SLOs, "
-                    "and write a decision-support report (text + JSON + "
-                    "markdown) ranking the SLO-passing configurations by "
-                    "bandwidth cost and naming the dominant sensitivity "
-                    "factors.",
-        epilog="examples: python -m repro dse --design factorial --factor "
-               "failover_policy=fast,none --replicates 2; python -m repro "
-               "dse --design evolve --generations 3 --population 6 --jobs "
-               "auto",
     ),
     Command(
         "serve",

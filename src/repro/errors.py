@@ -96,8 +96,6 @@ HTTP_STATUS_BY_CODE: Dict[str, int] = {
     "resilience/unknown-campaign": 400,
     "resilience/bad-campaign-params": 400,
     "resilience/no-injector": 503,
-    "dse/bad-design": 400,
-    "dse/empty-feasible-set": 400,
 }
 
 

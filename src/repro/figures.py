@@ -16,9 +16,10 @@ Internally every figure is described twice over the same code:
 
 The formatter turns one slice's numbers into that slice's display rows.
 The public ``fig*`` functions run their plan serially. ``repro.sweep``
-executes the very same slice calls in worker processes and formats the
-results in plan order, which is what makes parallel figure regeneration
-byte-identical to these serial functions.
+executes the very same slice calls, each served from its result cache
+when it can be, and formats the results in plan order, which is what
+makes cached figure regeneration byte-identical to these serial
+functions.
 """
 
 from __future__ import annotations

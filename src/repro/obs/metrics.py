@@ -266,17 +266,16 @@ class MetricsRegistry:
     def merge_flat(self, flat: Dict[str, Any], **extra_labels: Any) -> None:
         """Merge a flattened snapshot by summation.
 
-        This is how per-worker counters from a parallel sweep fold into
-        the parent registry: each ``{qualified: value}`` series is
-        parsed back into (name, labels) and accumulated into a gauge,
-        so N workers' ``sweep.worker.busy_s`` sum into one series.
-        Summation is exact for counter-style series; derived series
-        (means, percentiles) should not be merged this way.
+        Each ``{qualified: value}`` series is parsed back into (name,
+        labels) and accumulated into a gauge, so merging N snapshots
+        sums each series across them. Summation is exact for
+        counter-style series; derived series (means, percentiles)
+        should not be merged this way.
 
         ``extra_labels`` are stamped onto every merged series (without
         overriding a label the series already carries) — the cluster
-        replay uses it to keep each rack domain's series distinct
-        (``domain="rack0"``) in one parent registry.
+        replay folds each rack domain's registry into one parent this
+        way, with ``domain="rack0"`` keeping the domains distinct.
         """
         for qualified, value in flat.items():
             name, labels = parse_qualified(qualified)

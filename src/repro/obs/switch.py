@@ -21,7 +21,7 @@ from .events import EventLog
 from .profiler import SimProfiler
 from .trace import Tracer
 
-__all__ = ["session", "all_off"]
+__all__ = ["session"]
 
 #: Each channel: its module and the global holding its collector.
 _CHANNELS = (
@@ -75,10 +75,3 @@ class session:
     def __exit__(self, *exc_info) -> None:
         for channel, collector in self._saved.pop():
             _install(channel, collector)
-
-
-def all_off() -> None:
-    """Switch every channel off: a process forked inside a session (a
-    sweep pool worker) must not collect into its parent's copies."""
-    for channel in _CHANNELS:
-        _install(channel, None)

@@ -6,8 +6,7 @@ schedules deterministic state changes on a set of
 :class:`~repro.net.faults.FaultInjector` instances through the
 simulator's event queue. Campaigns are plain frozen dataclasses: the
 same campaign armed at the same sim time with the same seeded RNG
-produces the same event sequence, so chaos runs are reproducible and
-cacheable by :mod:`repro.sweep`.
+produces the same event sequence, so chaos runs are reproducible.
 """
 
 from __future__ import annotations
@@ -62,9 +61,8 @@ class CampaignParam:
     """Typed schema of one campaign parameter.
 
     This is the single source of truth for what a campaign accepts:
-    the DSE design builder validates factor levels against it, the
-    REST fault hook validates POST bodies with it, and
-    ``GET /v1/faults`` serves it as the discoverable catalogue.
+    :func:`make_campaign` and the REST fault hook validate against it,
+    and ``GET /v1/faults`` serves it as the discoverable catalogue.
     """
 
     name: str
@@ -116,8 +114,8 @@ _DROP_PROBABILITY = CampaignParam(
     "per-frame Bernoulli drop probability during the window",
 )
 
-#: name -> ordered parameter schemas; consumed by the DSE design
-#: builder, the REST fault hook, and ``GET /v1/faults``.
+#: name -> ordered parameter schemas; consumed by :func:`make_campaign`,
+#: the REST fault hook, and ``GET /v1/faults``.
 CAMPAIGN_PARAMS: Dict[str, Tuple[CampaignParam, ...]] = {
     "link-kill": (_AT_S,),
     "link-flap": (_AT_S, _DURATION_S),

@@ -2,7 +2,7 @@
 
 Layout: one JSON file per result at ``<root>/<sha256>.json`` where the
 name is the spec's :attr:`~repro.sweep.RunSpec.key`. The key already
-commits to the target, kwargs, seed and source fingerprint, so
+commits to the target, kwargs and source fingerprint, so
 invalidation is automatic — editing any ``repro/**/*.py`` file changes
 every key and old entries are simply never read again. ``prune()``
 deletes entries whose recorded fingerprint no longer matches the
@@ -10,8 +10,8 @@ current tree.
 
 The default root is ``benchmarks/results/cache/`` at the repository
 root (override with the ``root`` argument). Writes are atomic (temp
-file + ``os.replace``) so parallel writers and readers never observe
-torn JSON.
+file + ``os.replace``) so a reader never observes torn JSON, even from
+a run killed mid-write.
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ class ResultCache:
             "key": spec.key,
             "target": spec.target,
             "kwargs": spec.kwargs,
-            "seed": spec.seed,
             "fingerprint": spec.fingerprint,
             "elapsed_s": round(elapsed_s, 6),
             "result": result,

@@ -1,99 +1,64 @@
-"""Parallel sweep execution: cache front, process-pool fan-out.
+"""Sweep execution: a result cache in front of in-process runs.
 
 :class:`SweepEngine` takes a list of :class:`~repro.sweep.RunSpec` and
-returns one :class:`SweepOutcome` per spec, in order. Execution is
-three-tier:
+returns one :class:`SweepOutcome` per spec, in order. Every spec is
+first looked up in the content-addressed
+:class:`~repro.sweep.ResultCache`; hits return without computing, and
+misses run one after another in this process, then are written to the
+cache. Each run records ``sweep.runs`` and ``sweep.busy_s`` (labeled by
+target) in the engine's :class:`~repro.obs.MetricsRegistry`.
 
-1. **Cache** — every spec is first looked up in the content-addressed
-   :class:`~repro.sweep.ResultCache`; hits return without computing.
-2. **Serial** — with ``jobs <= 1`` (or a single pending spec) misses
-   run in-process, which is also the reference semantics parallel runs
-   must reproduce bit-for-bit.
-3. **Parallel** — otherwise misses fan out over a
-   ``ProcessPoolExecutor``. Each worker process is its own simulator
-   universe (fresh module state, tracing force-disabled), and every
-   spec carries its full configuration and seed, so results are
-   independent of which worker runs them and of completion order.
-
-Workers return ``(value, elapsed, metrics-snapshot)``; the engine
-merges the flattened worker metrics into its parent
-:class:`~repro.obs.MetricsRegistry` via ``merge_flat`` so one summary
-covers the whole fleet.
+Before anything runs or is cached, every spec's kwargs are bound to its
+target's signature (:func:`check_spec`), so a bad grid fails whole.
 """
 
 from __future__ import annotations
 
-import importlib
 import inspect
-import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Any, Callable, List, Optional, Sequence
 
+from ..figures import FIGURES, SLICES
 from ..obs import MetricsRegistry
-from .bootstrap import (
-    normalize_jobs,
-    pool_worker_init,
-    worker_run_snapshot,
-)
 from .cache import ResultCache
 from .spec import RunSpec
 
-__all__ = ["SweepEngine", "SweepOutcome", "resolve_target", "normalize_jobs"]
+__all__ = ["SweepEngine", "SweepOutcome", "check_spec", "resolve_target"]
+
+#: Target namespace -> the table its names index.
+_TARGETS = {"slice": SLICES, "figure": FIGURES}
 
 
 def resolve_target(name: str) -> Callable[..., Any]:
-    """Map a spec target string to the callable that runs it."""
-    if name.startswith("slice:"):
-        from ..figures import SLICES
+    """Map a ``slice:<name>`` or ``figure:<name>`` target to its callable.
 
-        return SLICES[name[len("slice:"):]]
-    if name.startswith("figure:"):
-        from ..figures import FIGURES
-
-        return FIGURES[name[len("figure:"):]]
-    if name.startswith("py:"):
-        _, module_name, function_name = name.split(":", 2)
-        module = sys.modules.get(module_name)
-        if module is None:
-            module = importlib.import_module(module_name)
-        return getattr(module, function_name)
-    raise KeyError(
-        f"unknown target {name!r} (expected 'slice:', 'figure:' or "
-        f"'py:module:function')"
-    )
+    An unknown target raises :class:`KeyError` naming every known one.
+    """
+    kind, _, key = name.partition(":")
+    if key not in _TARGETS.get(kind, {}):
+        known = ", ".join(
+            f"{prefix}:{entry}"
+            for prefix, table in _TARGETS.items() for entry in table
+        )
+        raise KeyError(f"unknown target {name!r} (known: {known})")
+    return _TARGETS[kind][key]
 
 
-def _accepts_seed(target: Callable[..., Any]) -> bool:
+def check_spec(spec: RunSpec) -> None:
+    """Bind ``spec``'s kwargs to its target's signature.
+
+    Raises :class:`KeyError` for an unknown target and :class:`TypeError`,
+    naming the target's parameters, for kwargs it cannot take.
+    """
+    signature = inspect.signature(resolve_target(spec.target))
     try:
-        parameters = inspect.signature(target).parameters
-    except (TypeError, ValueError):  # builtins etc.
-        return False
-    if "seed" in parameters:
-        return True
-    return any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()
-    )
-
-
-def execute_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one spec payload (in-process or inside a pool worker)."""
-    target = resolve_target(payload["target"])
-    kwargs = dict(payload["kwargs"])
-    if payload["seed"] is not None and _accepts_seed(target):
-        kwargs.setdefault("seed", payload["seed"])
-    started = time.perf_counter()
-    value = target(**kwargs)
-    elapsed = time.perf_counter() - started
-    return {
-        "key": payload["key"],
-        "value": value,
-        "elapsed_s": elapsed,
-        "metrics": worker_run_snapshot(
-            "sweep", elapsed, target=payload["target"]
-        ),
-    }
+        signature.bind(**spec.kwargs)
+    except TypeError as error:
+        raise TypeError(
+            f"{spec.target} takes ({', '.join(signature.parameters)}): "
+            f"{error}"
+        ) from None
 
 
 @dataclass
@@ -104,20 +69,17 @@ class SweepOutcome:
     value: Any
     cached: bool
     elapsed_s: float
-    metrics: Dict[str, float] = field(default_factory=dict)
 
 
 class SweepEngine:
-    """Cache-fronted, optionally-parallel executor for RunSpecs."""
+    """Cache-fronted, in-process executor for RunSpecs."""
 
     def __init__(
         self,
-        jobs: Union[int, str, None] = 1,
         cache: bool = True,
         cache_dir: Optional[str] = None,
         registry: Optional[MetricsRegistry] = None,
     ):
-        self.jobs = normalize_jobs(jobs)
         self.cache: Optional[ResultCache] = (
             ResultCache(cache_dir) if cache else None
         )
@@ -129,59 +91,47 @@ class SweepEngine:
 
     # -- execution -------------------------------------------------------------
     def run(self, specs: Sequence[RunSpec]) -> List[SweepOutcome]:
-        """Execute every spec (cache, then fan-out); order-preserving."""
+        """Execute every spec (cache first, then in process); in order."""
+        for spec in specs:
+            check_spec(spec)
         started = time.perf_counter()
-        outcomes: List[Optional[SweepOutcome]] = [None] * len(specs)
-        pending: List[int] = []
-        for index, spec in enumerate(specs):
-            envelope = self.cache.get(spec) if self.cache else None
+        outcomes: List[SweepOutcome] = []
+        for spec in specs:
+            envelope = (
+                self.cache.get(spec) if self.cache is not None else None
+            )
             if envelope is not None:
-                outcomes[index] = SweepOutcome(
+                outcomes.append(SweepOutcome(
                     spec=spec,
                     value=envelope["result"],
                     cached=True,
                     elapsed_s=float(envelope.get("elapsed_s", 0.0)),
-                )
-            else:
-                pending.append(index)
-
-        if pending:
-            payloads = [specs[index].payload() for index in pending]
-            if self.jobs > 1 and len(pending) > 1:
-                workers = min(self.jobs, len(pending))
-                with ProcessPoolExecutor(
-                    max_workers=workers,
-                    initializer=pool_worker_init,
-                ) as pool:
-                    raw = list(pool.map(execute_payload, payloads))
-            else:
-                raw = [execute_payload(payload) for payload in payloads]
-            for index, out in zip(pending, raw):
-                spec = specs[index]
-                outcomes[index] = SweepOutcome(
-                    spec=spec,
-                    value=out["value"],
-                    cached=False,
-                    elapsed_s=out["elapsed_s"],
-                    metrics=out["metrics"],
-                )
-                self.registry.merge_flat(out["metrics"])
-                if self.cache is not None:
-                    self.cache.put(spec, out["value"], out["elapsed_s"])
+                ))
+                continue
+            run_started = time.perf_counter()
+            value = resolve_target(spec.target)(**spec.kwargs)
+            elapsed = time.perf_counter() - run_started
+            outcomes.append(SweepOutcome(
+                spec=spec, value=value, cached=False, elapsed_s=elapsed,
+            ))
+            self.registry.gauge("sweep.runs", target=spec.target).adjust(1)
+            self.registry.gauge(
+                "sweep.busy_s", target=spec.target
+            ).adjust(elapsed)
+            if self.cache is not None:
+                self.cache.put(spec, value, elapsed)
 
         wall = time.perf_counter() - started
+        hits = sum(outcome.cached for outcome in outcomes)
         self.specs_seen += len(specs)
-        self.cache_hits += len(specs) - len(pending)
-        self.executed += len(pending)
+        self.cache_hits += hits
+        self.executed += len(specs) - hits
         self.wall_s += wall
         self.registry.gauge("sweep.specs").adjust(len(specs))
-        self.registry.gauge("sweep.cache_hits").adjust(
-            len(specs) - len(pending)
-        )
-        self.registry.gauge("sweep.executed").adjust(len(pending))
+        self.registry.gauge("sweep.cache_hits").adjust(hits)
+        self.registry.gauge("sweep.executed").adjust(len(specs) - hits)
         self.registry.gauge("sweep.wall_s").adjust(wall)
-        self.registry.gauge("sweep.jobs").set(self.jobs)
-        return [outcome for outcome in outcomes if outcome is not None]
+        return outcomes
 
     # -- reporting -------------------------------------------------------------
     def stats_line(self) -> str:
@@ -190,12 +140,11 @@ class SweepEngine:
             cached = f"{self.cache_hits} hits"
         return (
             f"sweep: {self.specs_seen} specs, {self.executed} executed, "
-            f"cache {cached}, jobs={self.jobs}, {self.wall_s:.2f}s wall"
+            f"cache {cached}, {self.wall_s:.2f}s wall"
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"SweepEngine(jobs={self.jobs}, "
-            f"cache={'on' if self.cache else 'off'}, "
+            f"SweepEngine(cache={'on' if self.cache else 'off'}, "
             f"specs={self.specs_seen})"
         )

@@ -3,18 +3,16 @@
 ``repro.figures`` describes every figure as a *plan*: a title, headers,
 a formatter and an ordered list of independent slice calls (see
 ``repro.figures.FIGURE_PLANS``). This module turns plans into
-:class:`~repro.sweep.RunSpec` lists, executes them through a
-:class:`~repro.sweep.SweepEngine` — all figures' slices in one global
-fan-out, so a wide figure keeps the pool busy while a narrow one
-finishes — and formats the slices' numbers into the same
-``(title, headers, rows)`` tables the serial functions return. Row
-order is fixed by the plan, never by completion order, which is why
-``--jobs N`` output is byte-identical to serial output.
+:class:`~repro.sweep.RunSpec` lists, executes them through one
+:class:`~repro.sweep.SweepEngine` — all figures' slices in one run,
+each served from the cache when it can be — and formats the slices'
+numbers into the same ``(title, headers, rows)`` tables the serial
+functions return, so cold and warm output are byte-identical.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..figures import FIGURE_PLANS, FigurePlan, FigureTable, tabulate
 from .engine import SweepEngine
@@ -40,7 +38,6 @@ def figure_specs(
 def run_figures(
     names: Optional[Sequence[str]] = None,
     *,
-    jobs: Union[int, str, None] = 1,
     cache: bool = True,
     cache_dir: Optional[str] = None,
     figure_kwargs: Optional[Dict[str, Dict[str, Any]]] = None,
@@ -50,7 +47,7 @@ def run_figures(
 
     Returns ``(tables, engine)`` where ``tables`` maps figure name to
     the familiar ``(title, headers, rows)`` tuple and ``engine`` holds
-    cache/parallelism statistics and the merged worker metrics.
+    the cache statistics and the per-target run metrics.
     ``figure_kwargs`` optionally overrides one figure's plan kwargs,
     e.g. ``{"fig8": {"samples": 500_000}}``.
     """
@@ -63,7 +60,7 @@ def run_figures(
             f"{sorted(FIGURE_PLANS)}"
         )
     if engine is None:
-        engine = SweepEngine(jobs=jobs, cache=cache, cache_dir=cache_dir)
+        engine = SweepEngine(cache=cache, cache_dir=cache_dir)
 
     layout = []  # (name, plan, first spec index, spec count)
     all_specs: List[RunSpec] = []

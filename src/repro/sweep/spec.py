@@ -1,20 +1,18 @@
 """Declarative, hashable description of one simulation run.
 
-A :class:`RunSpec` names *what* to run (a target in one of three
-addressable namespaces), *how* (JSON-canonical keyword arguments and an
-optional seed) and *against which code* (a fingerprint of the source
-tree). Two specs with the same :attr:`RunSpec.key` are guaranteed to
-describe the same computation on the same code, which is what makes the
+A :class:`RunSpec` names *what* to run (a target in one of two
+addressable namespaces), *how* (JSON-canonical keyword arguments) and
+*against which code* (a fingerprint of the source tree). Two specs with
+the same :attr:`RunSpec.key` are guaranteed to describe the same
+computation on the same code, which is what makes the
 content-addressed result cache sound.
 
 Target namespaces (resolved by :mod:`repro.sweep.engine`):
 
 * ``slice:<name>``  — a figure slice from ``repro.figures.SLICES``
-  (the unit of parallelism when regenerating paper figures);
+  (the unit the cache stores when regenerating paper figures);
 * ``figure:<name>`` — a whole figure function from
-  ``repro.figures.FIGURES``;
-* ``py:<module>:<function>`` — any importable function returning a
-  JSON-serializable value (the DSE campaign cells use this).
+  ``repro.figures.FIGURES``.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ class RunSpec:
 
     target: str
     kwargs_json: str
-    seed: Optional[int]
     fingerprint: str
 
     @property
@@ -56,30 +53,15 @@ class RunSpec:
             {
                 "target": self.target,
                 "kwargs": json.loads(self.kwargs_json),
-                "seed": self.seed,
                 "fingerprint": self.fingerprint,
             }
         )
         return hashlib.sha256(envelope.encode("utf-8")).hexdigest()
 
-    def payload(self) -> Dict[str, Any]:
-        """Picklable dict shipped to worker processes."""
-        return {
-            "target": self.target,
-            "kwargs": self.kwargs,
-            "seed": self.seed,
-            "key": self.key,
-        }
-
-    def describe(self) -> str:
-        seed = f" seed={self.seed}" if self.seed is not None else ""
-        return f"{self.target} {self.kwargs_json}{seed}"
-
 
 def make_spec(
     target: str,
     *,
-    seed: Optional[int] = None,
     fingerprint: Optional[str] = None,
     **kwargs: Any,
 ) -> RunSpec:
@@ -87,8 +69,8 @@ def make_spec(
 
     The fingerprint defaults to the ``repro`` source tree's. Kwargs
     must be JSON-serializable — tuples become lists, and the target
-    sees the round-tripped values, so in-process and subprocess
-    execution receive identical arguments.
+    sees the round-tripped values, so a cold run and a cached one
+    describe identical arguments.
     """
     kwargs_json = _canonical_json(kwargs)
     if fingerprint is None:
@@ -96,6 +78,5 @@ def make_spec(
     return RunSpec(
         target=target,
         kwargs_json=kwargs_json,
-        seed=seed,
         fingerprint=fingerprint,
     )

@@ -117,10 +117,8 @@ class TestCliBadNumbers:
         ["metrics", "stream", "--stride", "0"],
         ["cluster", "--racks", "0"],
         ["cluster", "--sample", "0"],
-        ["dse", "--replicates", "0"],
-        ["dse", "--fraction", "2", "--phase", "5"],
     ], ids=["trace-sample", "metrics-stride", "cluster-racks",
-            "cluster-sample", "dse-replicates", "dse-phase"])
+            "cluster-sample"])
     def test_rejected_by_the_parser(self, argv, tmp_path, capsys):
         from repro.__main__ import main
 
@@ -133,12 +131,11 @@ class TestCliBadNumbers:
 
 
 class TestCliSweepEngine:
-    def test_figures_subcommand_parallel_cached(self, tmp_path, capsys):
+    def test_figures_subcommand_cached(self, tmp_path, capsys):
         from repro.__main__ import main
 
         cache_dir = str(tmp_path / "cache")
-        argv = ["figures", "fig5", "rtt", "--jobs", "2",
-                "--cache-dir", cache_dir]
+        argv = ["figures", "fig5", "rtt", "--cache-dir", cache_dir]
         assert main(argv) == 0
         cold = capsys.readouterr().out
         assert "Fig. 5" in cold and "remote access RTT" in cold
@@ -161,7 +158,7 @@ class TestCliSweepEngine:
 
         assert main([
             "sweep", "slice:fig5.threads", "--sweep", "count=4,8",
-            "--jobs", "1", "--cache-dir", str(tmp_path / "cache"),
+            "--cache-dir", str(tmp_path / "cache"),
         ]) == 0
         out = capsys.readouterr().out
         assert '{"count":4}' in out and '{"count":8}' in out
@@ -172,3 +169,34 @@ class TestCliSweepEngine:
 
         with pytest.raises(SystemExit):
             main(["sweep", "bogus-target", "--cache-dir", str(tmp_path)])
+
+    @pytest.mark.parametrize("argv, named", [
+        (["slice:fig5.threads", "--set", "count=4", "--set", "bogus=1"],
+         "takes (count)"),
+        (["slice:fig5.threads"], "takes (count)"),
+        (["slice:nope"], "slice:fig5.threads"),
+        (["slice:fig5.threads", "--set", "count"], "KEY=VALUE"),
+    ], ids=["unknown-kwarg", "missing-kwarg", "unknown-slice", "no-value"])
+    def test_sweep_bad_input_is_a_usage_error(self, argv, named, tmp_path,
+                                              capsys):
+        """Bad input exits 2 before anything runs or is cached, naming
+        the target's parameters or the known targets."""
+        from repro.__main__ import main
+
+        cache_dir = tmp_path / "cache"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", *argv, "--cache-dir", str(cache_dir)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "python -m repro sweep: error" in err and named in err
+        assert not cache_dir.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["dse"], ["figures", "fig5", "--jobs", "2"],
+    ], ids=["dse", "figures-jobs"])
+    def test_removed_command_and_option_are_usage_errors(self, argv):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2

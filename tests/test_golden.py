@@ -242,7 +242,7 @@ ORDERING: Dict[str, Callable[[], Artifact]] = {
 }
 
 
-# -- chaos, cluster, DSE and CLI artifacts -------------------------------------
+# -- chaos, cluster and CLI artifacts -----------------------------------------
 
 
 def _chaos(name: str) -> Artifact:
@@ -292,14 +292,6 @@ def _busy_replays() -> Dict[str, bytes]:
             for name, data in _files(out).items():
                 files[f"{scenario}/{name}"] = data
     return files
-
-
-@functools.lru_cache(maxsize=None)
-def _dse_smoke() -> Dict[str, bytes]:
-    """``python -m repro dse --smoke --seed 7 --no-cache``'s report."""
-    with tempfile.TemporaryDirectory() as out:
-        _run_main("dse", "--smoke", "--seed", "7", "--no-cache", "--out", out)
-        return _files(out)
 
 
 @functools.lru_cache(maxsize=None)
@@ -361,7 +353,6 @@ PRODUCERS: Dict[str, Callable[[str, Any], Artifact]] = {
     "chaos": lambda output, results: _chaos(output),
     "cluster_cli": lambda output, results: Artifact(_cluster_cli()[output]),
     "busy_replay": lambda output, results: Artifact(_busy_replays()[output]),
-    "dse_smoke": lambda output, results: Artifact(_dse_smoke()[output]),
     "telemetry_cli": lambda output, results: Artifact(
         _telemetry_cli()[output]
     ),

@@ -21,7 +21,6 @@ from repro.obs import events as events_mod
 from repro.obs import profiler as profiler_mod
 from repro.obs import trace as trace_mod
 from repro.resilience import run_scenario
-from repro.resilience.dse import run_cell
 from repro.testbed import Testbed
 
 
@@ -291,14 +290,6 @@ class TestSessionNesting:
             assert active_event_log() is outer
             assert events_mod.ENABLED is True
         assert result["events"], "the scenario journaled nothing"
-        assert outer.total == 0
-
-    def test_dse_cell_leaves_the_callers_log_installed_and_clean(self):
-        outer = EventLog()
-        with session(events=outer):
-            record = run_cell(payload_kib=8, seed=3)
-            assert active_event_log() is outer
-        assert record["events"], "the cell journaled nothing"
         assert outer.total == 0
 
 

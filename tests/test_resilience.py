@@ -5,16 +5,22 @@ import json
 import pytest
 
 from repro.errors import RemoteMemoryError
+from repro.mem import MIB
 from repro.resilience import (
+    CAMPAIGN_PARAMS,
     Brownout,
+    CampaignParamError,
     LinkFlap,
     LinkKill,
     ResilientBuffer,
     UnknownCampaignError,
     WriteJournal,
+    campaign_catalogue,
     ensure_injector,
     make_campaign,
+    make_rest_fault_hook,
     run_scenario,
+    validate_campaign_params,
 )
 from repro.resilience.scenarios import _build_rack
 from repro.testbed import RackTestbed
@@ -200,3 +206,162 @@ class TestEndpointRetryPath:
         # Retry bookkeeping: every retry burst was first a timeout.
         assert endpoint.timeouts >= endpoint.retries
         assert endpoint.retries_exhausted == 0
+
+
+# -- campaign param-spec table ---------------------------------------------------
+
+
+class TestCampaignParamTable:
+    def test_every_campaign_has_a_schema(self):
+        from repro.resilience import CAMPAIGNS
+
+        assert set(CAMPAIGN_PARAMS) == set(CAMPAIGNS)
+
+    def test_catalogue_is_sorted_and_described(self):
+        catalogue = campaign_catalogue()
+        names = [entry["name"] for entry in catalogue]
+        assert names == sorted(CAMPAIGN_PARAMS)
+        brownout = next(e for e in catalogue if e["name"] == "brownout")
+        assert brownout["doc"]
+        params = {p["name"]: p for p in brownout["params"]}
+        assert params["drop_probability"]["maximum"] == 1.0
+        assert "doc" in params["at_s"]
+
+    def test_unknown_campaign_is_distinct_from_bad_params(self):
+        with pytest.raises(UnknownCampaignError) as info:
+            validate_campaign_params("meteor-strike", {})
+        assert info.value.code == "resilience/unknown-campaign"
+        with pytest.raises(CampaignParamError) as info:
+            validate_campaign_params("link-kill", {"duration_s": 1.0})
+        assert info.value.code == "resilience/bad-campaign-params"
+        # The param error still is an UnknownCampaignError subclass, so
+        # pre-existing catch-all callers keep working.
+        assert isinstance(info.value, UnknownCampaignError)
+
+    def test_out_of_range_and_mistyped_values(self):
+        with pytest.raises(CampaignParamError, match="outside"):
+            validate_campaign_params(
+                "brownout", {"drop_probability": 1.5}
+            )
+        with pytest.raises(CampaignParamError, match="number"):
+            validate_campaign_params("link-flap", {"duration_s": "soon"})
+        with pytest.raises(CampaignParamError):
+            validate_campaign_params("link-kill", {"at_s": True})
+
+    def test_validated_params_are_float_coerced(self):
+        out = validate_campaign_params("link-flap", {"at_s": 1})
+        assert out == {"at_s": 1.0}
+        assert isinstance(out["at_s"], float)
+
+    def test_make_campaign_validates_through_the_table(self):
+        with pytest.raises(CampaignParamError):
+            make_campaign("brownout", drop_probability=2.0)
+        campaign = make_campaign("brownout", drop_probability=0.4)
+        assert campaign.drop_probability == 0.4
+
+
+class TestFaultCatalogueRoute:
+    def _rack(self):
+        from repro.testbed import RackTestbed
+
+        return RackTestbed(nodes=2, channels_per_node=1)
+
+    def test_get_faults_serves_the_catalogue(self):
+        from repro.control import RestApi
+
+        rack = self._rack()
+        api = RestApi(rack.plane)
+        status, body = api.handle(
+            "GET", "/v1/faults", token=rack.admin_token
+        )
+        assert status == 200
+        assert body["campaigns"] == campaign_catalogue()
+
+    def test_get_faults_requires_read_permission(self):
+        from repro.control import RestApi
+
+        rack = self._rack()
+        status, body = RestApi(rack.plane).handle(
+            "GET", "/v1/faults", token=None
+        )
+        assert status == 401
+
+    def test_bad_params_map_to_400_with_sharp_slug(self):
+        from repro.control import RestApi
+
+        rack = self._rack()
+        attachment = rack.attach("node0", 2 * MIB, memory_host="node1")
+        api = RestApi(rack.plane, fault_hook=make_rest_fault_hook(rack))
+        status, body = api.handle(
+            "POST",
+            "/v1/faults",
+            body={
+                "campaign": "brownout",
+                "attachment": attachment.attachment_id,
+                "drop_probability": 7.0,
+            },
+            token=rack.admin_token,
+        )
+        assert status == 400
+        assert body["code"] == "resilience/bad-campaign-params"
+
+
+# -- RNG-stream hygiene ----------------------------------------------------------
+
+
+class TestFaultHookRngHygiene:
+    def test_identical_posts_never_reuse_a_stream(self):
+        from repro.control import RestApi
+        from repro.testbed import RackTestbed
+
+        rack = RackTestbed(nodes=2, channels_per_node=1)
+        attachment = rack.attach("node0", 2 * MIB, memory_host="node1")
+        api = RestApi(rack.plane, fault_hook=make_rest_fault_hook(rack))
+        body = {
+            "campaign": "brownout",
+            "attachment": attachment.attachment_id,
+            "at_s": 1e-6,
+            "duration_s": 2e-6,
+            "drop_probability": 0.5,
+        }
+        responses = []
+        labels = []
+        for _ in range(2):
+            status, reply = api.handle(
+                "POST", "/v1/faults", body=dict(body),
+                token=rack.admin_token,
+            )
+            assert status == 202
+            responses.append(reply)
+            labels.append([
+                link.faults.rng.label
+                for link in rack.links_of("node1")
+            ])
+        assert responses[0]["call_index"] == 0
+        assert responses[1]["call_index"] == 1
+        assert responses[0]["rng_stream"] != responses[1]["rng_stream"]
+        # The second POST reseeded every injector with a fresh stream.
+        assert set(labels[0]).isdisjoint(labels[1])
+
+    def test_hook_streams_derive_from_the_hook_seed(self):
+        from repro.control import RestApi
+        from repro.testbed import RackTestbed
+
+        streams = []
+        for _ in range(2):
+            rack = RackTestbed(nodes=2, channels_per_node=1)
+            attachment = rack.attach("node0", 2 * MIB, memory_host="node1")
+            api = RestApi(
+                rack.plane, fault_hook=make_rest_fault_hook(rack, seed=9)
+            )
+            _, reply = api.handle(
+                "POST",
+                "/v1/faults",
+                body={
+                    "campaign": "link-kill",
+                    "attachment": attachment.attachment_id,
+                },
+                token=rack.admin_token,
+            )
+            streams.append(reply["rng_stream"])
+        assert streams[0] == streams[1]  # deterministic per hook seed

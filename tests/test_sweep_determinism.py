@@ -1,11 +1,11 @@
 """Differential determinism of the sweep engine.
 
-The contract the whole caching/parallelism story rests on:
+The contract the result cache rests on:
 
-* a figure regenerated with ``jobs=4`` is **byte-identical** to the
+* a figure regenerated through the engine is **byte-identical** to the
   serial ``fig*()`` function;
 * a warm (cached) re-run is byte-identical to the cold run;
-* the content address commits to target, kwargs, seed and source
+* the content address commits to target, kwargs and source
   fingerprint — change any one and the cache cold-runs.
 """
 
@@ -19,8 +19,8 @@ from repro.obs import MetricsRegistry, parse_qualified
 from repro.sweep import (
     ResultCache,
     SweepEngine,
+    check_spec,
     make_spec,
-    normalize_jobs,
     run_figures,
     source_fingerprint,
 )
@@ -41,15 +41,15 @@ def cache_dir(tmp_path):
     return str(tmp_path / "cache")
 
 
-class TestParallelMatchesSerial:
-    def test_jobs4_byte_identical_and_cached_rerun_identical(self, cache_dir):
+class TestEngineMatchesSerial:
+    def test_cold_and_cached_runs_match_serial(self, cache_dir):
         names = sorted(SMALL)
         serial = {
             name: render(FIGURES[name](**SMALL[name])) for name in names
         }
 
         tables, engine = run_figures(
-            names, jobs=4, cache_dir=cache_dir,
+            names, cache_dir=cache_dir,
             figure_kwargs={k: dict(v) for k, v in SMALL.items()},
         )
         assert engine.executed > 0 and engine.cache_hits == 0
@@ -58,7 +58,7 @@ class TestParallelMatchesSerial:
 
         # Warm re-run: everything served from cache, still identical.
         warm_tables, warm_engine = run_figures(
-            names, jobs=4, cache_dir=cache_dir,
+            names, cache_dir=cache_dir,
             figure_kwargs={k: dict(v) for k, v in SMALL.items()},
         )
         assert warm_engine.executed == 0
@@ -68,7 +68,7 @@ class TestParallelMatchesSerial:
 
     def test_serial_engine_matches_direct_call(self, cache_dir):
         tables, _ = run_figures(
-            ["fig8"], jobs=1, cache_dir=cache_dir,
+            ["fig8"], cache_dir=cache_dir,
             figure_kwargs={"fig8": {"samples": 2_000}},
         )
         assert render(tables["fig8"]) == render(FIGURES["fig8"](samples=2_000))
@@ -88,9 +88,6 @@ class TestRunSpecKeys:
         ).key
         assert base.key != make_spec(
             "slice:fig9.case", kind="local", samples=100
-        ).key
-        assert base.key != make_spec(
-            "slice:fig8.config", kind="local", samples=100, seed=7
         ).key
         assert base.key != make_spec(
             "slice:fig8.config", kind="local", samples=100, fingerprint="x"
@@ -151,20 +148,20 @@ class TestResultCache:
         assert envelope["result"] == [[1, 2]]
 
 
-class TestWorkerMetricsMerge:
-    def test_merge_flat_sums_across_workers(self):
-        worker_a = MetricsRegistry("a")
-        worker_a.gauge("sweep.worker.runs", target="slice:x").adjust(2)
-        worker_a.gauge("sweep.worker.busy_s", target="slice:x").adjust(0.5)
-        worker_b = MetricsRegistry("b")
-        worker_b.gauge("sweep.worker.runs", target="slice:x").adjust(3)
+class TestRegistryMerge:
+    def test_merge_flat_sums_across_snapshots(self):
+        rack_a = MetricsRegistry("a")
+        rack_a.gauge("cluster.attaches", kind="borrow").adjust(2)
+        rack_a.gauge("cluster.busy_s", kind="borrow").adjust(0.5)
+        rack_b = MetricsRegistry("b")
+        rack_b.gauge("cluster.attaches", kind="borrow").adjust(3)
 
         parent = MetricsRegistry("parent")
-        parent.merge_flat(worker_a.snapshot())
-        parent.merge_flat(worker_b.snapshot())
+        parent.merge_flat(rack_a.snapshot())
+        parent.merge_flat(rack_b.snapshot())
         snapshot = parent.snapshot()
-        assert snapshot["sweep.worker.runs{target=slice:x}"] == 5
-        assert snapshot["sweep.worker.busy_s{target=slice:x}"] == 0.5
+        assert snapshot["cluster.attaches{kind=borrow}"] == 5
+        assert snapshot["cluster.busy_s{kind=borrow}"] == 0.5
 
     def test_parse_qualified_inverts_rendering(self):
         registry = MetricsRegistry()
@@ -174,78 +171,35 @@ class TestWorkerMetricsMerge:
         )
         assert parse_qualified("plain.name") == ("plain.name", {})
 
-    def test_engine_merges_worker_counters(self, cache_dir):
-        engine = SweepEngine(jobs=2, cache_dir=cache_dir)
+
+class TestEngineBasics:
+    def test_engine_records_per_target_runs(self, cache_dir):
+        engine = SweepEngine(cache_dir=cache_dir)
         specs = [
             make_spec("slice:fig5.threads", count=count) for count in (4, 8)
         ]
-        engine.run(specs)
+        outcomes = engine.run(specs)
         snapshot = engine.registry.snapshot()
+        assert snapshot["sweep.runs{target=slice:fig5.threads}"] == 2
         assert snapshot[
-            "sweep.worker.runs{target=slice:fig5.threads}"
-        ] == 2
+            "sweep.busy_s{target=slice:fig5.threads}"
+        ] == pytest.approx(sum(outcome.elapsed_s for outcome in outcomes))
         assert snapshot["sweep.executed"] == 2
 
-
-class TestEngineBasics:
-    def test_normalize_jobs(self):
-        assert normalize_jobs("auto") >= 1
-        assert normalize_jobs(None) >= 1
-        assert normalize_jobs(3) == 3
-        assert normalize_jobs("2") == 2
-        with pytest.raises(ValueError):
-            normalize_jobs(0)
-
-    def test_seed_is_forwarded_to_accepting_targets(self, cache_dir):
-        engine = SweepEngine(jobs=1, cache_dir=cache_dir)
-        baseline, seeded = engine.run(
-            [
-                make_spec("py:sweep_targets:seeded_value", scale=2),
-                make_spec("py:sweep_targets:seeded_value", scale=2,
-                          seed=11),
-            ]
-        )
-        assert baseline.value == {"seed": 0, "scale": 2}
-        assert seeded.value == {"seed": 11, "scale": 2}
-
     def test_cache_off_always_executes(self, tmp_path):
-        engine = SweepEngine(jobs=1, cache=False)
+        engine = SweepEngine(cache=False)
         spec = make_spec("slice:fig5.threads", count=4)
         engine.run([spec])
         engine.run([spec])
         assert engine.executed == 2
         assert engine.cache_hits == 0
 
-
-class TestSharedBootstrap:
-    """The worker-bootstrap helpers the sweep pool and its callers share."""
-
-    def test_engine_reexports_normalize_jobs(self):
-        from repro.sweep import bootstrap, engine
-
-        assert engine.normalize_jobs is bootstrap.normalize_jobs
-
-    def test_worker_run_snapshot_shape(self):
-        from repro.sweep.bootstrap import worker_run_snapshot
-
-        snap = worker_run_snapshot("sweep", 0.25, target="t")
-        runs = [v for k, v in snap.items()
-                if k.startswith("sweep.worker.runs")]
-        busy = [v for k, v in snap.items()
-                if k.startswith("sweep.worker.busy_s")]
-        assert runs == [1.0] and busy == [0.25]
-
-    def test_pool_workers_start_with_every_channel_off(self):
-        """A pool forked inside a session must not inherit its
-        collectors: each worker switches all three channels off."""
-        from repro.obs import EventLog, SimProfiler, Tracer, session
-
-        engine = SweepEngine(jobs=2, cache=False)
-        specs = [
-            make_spec("py:sweep_targets:obs_channels", tag=tag)
-            for tag in (1, 2)
-        ]
-        with session(trace=Tracer(), events=EventLog(),
-                     profile=SimProfiler()):
-            outcomes = engine.run(specs)
-        assert [o.value for o in outcomes] == [(False, False, False)] * 2
+    def test_bad_spec_fails_the_whole_run_before_any_write(self, cache_dir):
+        engine = SweepEngine(cache_dir=cache_dir)
+        good = make_spec("slice:fig5.threads", count=4)
+        with pytest.raises(TypeError, match=r"takes \(count\)"):
+            engine.run([good, make_spec("slice:fig5.threads", seed=3)])
+        with pytest.raises(KeyError, match="slice:fig8.config"):
+            check_spec(make_spec("py:os:getcwd"))
+        assert engine.executed == 0
+        assert not os.path.exists(cache_dir)
